@@ -403,15 +403,32 @@ def cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
+def _non_negative_float(text: str) -> float:
+    try:
+        if float(text) >= 0:  # False for NaN
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--fuel", type=int, default=60)
-    common.add_argument("--tol", type=float, default=1e-6)
+    common.add_argument("--fuel", type=_non_negative_int, default=60)
+    common.add_argument("--tol", type=_non_negative_float, default=1e-6)
     common.add_argument("--max-iter", dest="max_iter", type=int, default=64)
     common.add_argument("--enums", type=str, default=None)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
 
     p = argparse.ArgumentParser(prog="qlog", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -14,10 +14,21 @@ divergence residual is part of the semantics.
 
 Weights are exact ``Fraction``s so that canonical forms, convex
 combinations and the transport LP below are exact.
+
+Support order.  Points with equal :func:`key_of` keys are merged; the
+merged points are sorted by the string ``_sort_token(key_of(v))`` of
+their first-seen value, ties kept in first-seen order.  The token
+spells the key structurally: a tuple is ``"("`` + its components'
+tokens joined by ``","`` + ``")"``, a non-bool int is zero-padded to 24
+places, anything else is its ``repr``.  Floats therefore sort by their
+``repr`` (``0.5`` before ``10.0`` before ``1e-05`` before ``2.0``), not
+numerically.  The order is part of the output: float sums over a
+support (means, coupling costs) follow it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple, Union
@@ -49,6 +60,17 @@ def key_of(v: Any) -> Any:
     identity; distributions over such values are therefore not merged,
     a documented limitation.
     """
+    t = type(v)
+    if t is float:
+        return ("float", v)
+    if t is tuple:
+        return ("tuple", *map(key_of, v))
+    if t is int:
+        return ("int", v)
+    if t is str:
+        return ("str", v)
+    if t is bool:
+        return ("bool", v)
     m = getattr(v, "dist_key", None)
     if m is not None:
         return m()
@@ -64,18 +86,62 @@ def key_of(v: Any) -> Any:
         return ("tuple",) + tuple(key_of(x) for x in v)
     if v is None:
         return ("none",)
-    if isinstance(v, Dist):
-        return ("dist", v.dist_key())
     return ("id", id(v))
 
 
 def _sort_token(key: Any) -> str:
     # zero-pad ints so support order is numeric, not lexicographic
+    t = type(key)
+    if t is tuple:
+        return "(" + ",".join([_sort_token(k) for k in key]) + ")"
+    if t is int:
+        return f"{key:024d}"
+    if t is str:
+        return repr(key)
     if isinstance(key, tuple):
         return "(" + ",".join(_sort_token(k) for k in key) + ")"
     if isinstance(key, int) and not isinstance(key, bool):
         return f"{key:024d}"
     return repr(key)
+
+
+def _order_token(v: Any, floats: Dict[float, str]) -> str:
+    """``_sort_token(key_of(v))``, built from ``v`` in one recursion.
+
+    ``floats`` memoises float tokens for one canonicalisation.  Zeros
+    and NaNs stay out of it: ``0.0 == -0.0`` although their tokens
+    differ, and a NaN equals nothing.
+    """
+    t = type(v)
+    if t is float:
+        s = floats.get(v)
+        if s is None:
+            s = "('float'," + repr(v) + ")"
+            if v and v == v:
+                floats[v] = s
+        return s
+    if t is tuple:
+        if not v:
+            return "('tuple')"
+        return "('tuple'," + ",".join([_order_token(x, floats) for x in v]) + ")"
+    if t is int:
+        return f"('int',{v:024d})"
+    if t is str or t is bool:
+        return "('" + t.__name__ + "'," + repr(v) + ")"
+    return _sort_token(key_of(v))
+
+
+def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
+    """Exact sum, accumulated as an integer over a common denominator."""
+    num, den = 0, 1
+    for w in weights:
+        d = w.denominator
+        if den % d:
+            common = math.lcm(den, d)
+            num *= common // den
+            den = common
+        num += w.numerator * (den // d)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -94,21 +160,25 @@ class Dist:
         residual_div: WeightLike = 0,
         residual_approx: WeightLike = 0,
     ) -> "Dist":
-        merged: Dict[Any, Tuple[Any, Fraction]] = {}
+        merged: Dict[Any, List[Any]] = {}
         for v, w in pairs:
-            w = _as_weight(w)
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-            if w == 0:
+            if type(w) is not Fraction:
+                w = _as_weight(w)
+            if w.numerator <= 0:
+                if w.numerator < 0:
+                    raise ValueError(f"negative weight {w}")
                 continue
             k = key_of(v)
-            if k in merged:
-                merged[k] = (merged[k][0], merged[k][1] + w)
+            entry = merged.get(k)
+            if entry is None:
+                merged[k] = [v, w]
             else:
-                merged[k] = (v, w)
-        pts = tuple(
-            merged[k] for k in sorted(merged.keys(), key=_sort_token)
-        )
+                entry[1] += w
+        entries = list(merged.values())
+        floats: Dict[float, str] = {}
+        tokens = [_order_token(v, floats) for v, _ in entries]
+        order = sorted(range(len(entries)), key=tokens.__getitem__)
+        pts = tuple([(entries[i][0], entries[i][1]) for i in order])
         d = Dist(pts, _as_weight(residual_div), _as_weight(residual_approx))
         total = d.mass + d.residual_div + d.residual_approx
         if total != 1:
@@ -119,7 +189,7 @@ class Dist:
 
     @property
     def mass(self) -> Fraction:
-        return sum((w for _, w in self.points), Fraction(0))
+        return _exact_sum(w for _, w in self.points)
 
     @property
     def residual(self) -> Fraction:
@@ -324,11 +394,16 @@ def total_variation(mu: Dist, nu: Dist) -> Fraction:
     """
     if mu.residual != 0 or nu.residual != 0:
         raise ValueError("total variation needs full distributions")
-    keys = {key_of(v): v for v, _ in mu.points}
-    keys.update({key_of(v): v for v, _ in nu.points})
-    tv = Fraction(0)
-    for k, v in keys.items():
-        tv += abs(mu.weight(v) - nu.weight(v))
+    left: Dict[Any, Fraction] = {}
+    for v, w in mu.points:
+        left.setdefault(key_of(v), w)
+    right: Dict[Any, Fraction] = {}
+    for v, w in nu.points:
+        right.setdefault(key_of(v), w)
+    tv = sum(
+        (abs(w - right.get(k, 0)) for k, w in left.items()), Fraction(0)
+    )
+    tv += sum((w for k, w in right.items() if k not in left), Fraction(0))
     return tv / 2
 
 

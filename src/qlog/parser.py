@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .grades import Grade, INF, ONE
 from . import terms as T
@@ -653,9 +653,18 @@ def resolve_labels(term: T.Term, qfile: QlogFile) -> T.Term:
     return term
 
 
+def _guarded(p: Parser, parse: Callable[[], Any]) -> Any:
+    """Run ``parse``; input nested deeper than the Python stack allows
+    becomes a syntax error at the token the parser had reached."""
+    try:
+        return parse()
+    except RecursionError:
+        raise p.err("expression nested too deeply") from None
+
+
 def parse_term(src: str, qfile: Optional[QlogFile] = None) -> T.Term:
     p = Parser(src)
-    t = p.term()
+    t = _guarded(p, p.term)
     if p.peek() is not None:
         tok = p.peek()
         raise QlogSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
@@ -669,7 +678,7 @@ def parse_term(src: str, qfile: Optional[QlogFile] = None) -> T.Term:
 
 def parse_type(src: str) -> T.Type:
     p = Parser(src)
-    ty = p.type_()
+    ty = _guarded(p, p.type_)
     if p.peek() is not None:
         tok = p.peek()
         raise QlogSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
@@ -678,6 +687,10 @@ def parse_type(src: str) -> T.Type:
 
 def parse_file(src: str) -> QlogFile:
     p = Parser(src)
+    return _guarded(p, lambda: _declarations(p))
+
+
+def _declarations(p: Parser) -> QlogFile:
     out = QlogFile()
     while p.peek() is not None:
         t = p.peek()

@@ -57,17 +57,27 @@ class MDP:
         return 1 - self.alpha + self.gamma * self.alpha
 
 
+def _branch_table(mdp: MDP, i: int) -> List[Tuple[float, int, Fraction]]:
+    """``(reward, successor, probability)`` for every branch at state i,
+    in policy, reward, transition order."""
+    return [
+        (float(r), j, wa * wr * wj)
+        for a, wa in mdp.policy[i].points
+        for r, wr in mdp.reward[(i, a)].points
+        for j, wj in mdp.transition[(a, i)].points
+    ]
+
+
 def _state_branches(mdp: MDP, i: int, vi: float, v: Tuple[float, ...]) -> Dist:
     """Distribution of the updated value at state i."""
     alpha = float(mdp.alpha)
     gamma = float(mdp.gamma)
-    out: List[Tuple[float, Fraction]] = []
-    for a, wa in mdp.policy[i].points:
-        for r, wr in mdp.reward[(i, a)].points:
-            for j, wj in mdp.transition[(a, i)].points:
-                upd = (1 - alpha) * vi + alpha * min(float(r) + gamma * v[j], 1.0)
-                out.append((upd, wa * wr * wj))
-    return Dist.from_pairs(out)
+    return Dist.from_pairs(
+        [
+            ((1 - alpha) * vi + alpha * min(r + gamma * v[j], 1.0), q)
+            for r, j, q in _branch_table(mdp, i)
+        ]
+    )
 
 
 def td_step(mdp: MDP, v: Tuple[float, ...]) -> Dist:
@@ -97,28 +107,29 @@ def d_max(v: Tuple[float, ...], w: Tuple[float, ...]) -> float:
 
 def _paired_step(mdp: MDP, pair_dist: Dist) -> Dist:
     """Advance a distribution over (V, W) pairs on shared randomness."""
-    out: List[Tuple[Tuple[tuple, tuple], Fraction]] = []
     alpha = float(mdp.alpha)
     gamma = float(mdp.gamma)
+    tables = [_branch_table(mdp, i) for i in range(mdp.n_states)]
+    out: List[Tuple[Tuple[tuple, tuple], Fraction]] = []
     for (v, w), mass in pair_dist.points:
-        branches: List[Tuple[Tuple[tuple, tuple], Fraction]] = [((() , ()), mass)]
-        for i in range(mdp.n_states):
-            nxt = []
-            for (pv, pw), m0 in branches:
-                for a, wa in mdp.policy[i].points:
-                    for r, wr in mdp.reward[(i, a)].points:
-                        for j, wj in mdp.transition[(a, i)].points:
-                            uv = (1 - alpha) * v[i] + alpha * min(
-                                float(r) + gamma * v[j], 1.0
-                            )
-                            uw = (1 - alpha) * w[i] + alpha * min(
-                                float(r) + gamma * w[j], 1.0
-                            )
-                            nxt.append(
-                                ((pv + (uv,), pw + (uw,)), m0 * wa * wr * wj)
-                            )
-            branches = nxt
-        out.extend(branches)
+        branches: List[Tuple[tuple, tuple, Fraction]] = [((), (), mass)]
+        for i, table in enumerate(tables):
+            keep_v = (1 - alpha) * v[i]
+            keep_w = (1 - alpha) * w[i]
+            updates = [
+                (
+                    keep_v + alpha * min(r + gamma * v[j], 1.0),
+                    keep_w + alpha * min(r + gamma * w[j], 1.0),
+                    q,
+                )
+                for r, j, q in table
+            ]
+            branches = [
+                (pv + (uv,), pw + (uw,), m0 * q)
+                for pv, pw, m0 in branches
+                for uv, uw, q in updates
+            ]
+        out.extend(((pv, pw), m) for pv, pw, m in branches)
     return Dist.from_pairs(out)
 
 

@@ -17,6 +17,7 @@ from qlog.hypercube import (
 from qlog.measures import Dist, dirac, kantorovich, kantorovich_exact
 from qlog.td import (
     MDP,
+    _paired_step,
     d_max,
     random_mdp,
     random_vector,
@@ -168,6 +169,59 @@ def test_td_rejects_bad_vectors():
         td_step(mdp, (0.5, 0.5))  # wrong arity
     with pytest.raises(ValueError):
         td_step(mdp, (2.0, 0.0, 0.0))  # outside [0,1]
+
+
+def _paired_step_reference(mdp, pair_dist):
+    """The paired step as first written: one triple loop per branch."""
+    out = []
+    alpha = float(mdp.alpha)
+    gamma = float(mdp.gamma)
+    for (v, w), mass in pair_dist.points:
+        branches = [(((), ()), mass)]
+        for i in range(mdp.n_states):
+            nxt = []
+            for (pv, pw), m0 in branches:
+                for a, wa in mdp.policy[i].points:
+                    for r, wr in mdp.reward[(i, a)].points:
+                        for j, wj in mdp.transition[(a, i)].points:
+                            uv = (1 - alpha) * v[i] + alpha * min(
+                                float(r) + gamma * v[j], 1.0
+                            )
+                            uw = (1 - alpha) * w[i] + alpha * min(
+                                float(r) + gamma * w[j], 1.0
+                            )
+                            nxt.append(
+                                ((pv + (uv,), pw + (uw,)), m0 * wa * wr * wj)
+                            )
+            branches = nxt
+        out.extend(branches)
+    return Dist.from_pairs(out)
+
+
+def _bits(d):
+    return [
+        (tuple(x.hex() for x in pv), tuple(x.hex() for x in pw), q)
+        for (pv, pw), q in d.points
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 11])
+def test_paired_step_matches_reference(seed):
+    mdp = random_mdp(seed)
+    mdp.gamma = F(4, 5) if seed % 2 else F(1, 2)
+    mdp.alpha = (F(1, 2), F(3, 10), F(2, 3))[seed % 3]  # 1/2 scales exactly
+    # a stochastic reward, so every branch level is exercised
+    i, a = sorted(mdp.reward)[seed % len(mdp.reward)]
+    mdp.reward[(i, a)] = Dist.from_pairs([(0.125, F(1, 3)), (0.9, F(2, 3))])
+    rng = random.Random(seed)
+    v = tuple(rng.random() for _ in range(3))
+    w = tuple(rng.random() for _ in range(3))
+    new = old = dirac((v, w))
+    for _ in range(3):
+        new = _paired_step(mdp, new)
+        old = _paired_step_reference(mdp, old)
+        assert _bits(new) == _bits(old)
+        assert new.residual == old.residual == 0
 
 
 # -- the calculus terms agree with the native implementations ----------------

@@ -133,3 +133,43 @@ def test_store_predicates():
     q = parse_store_pred("s.l == 2 || s.l == 5")
     assert q(a, b) == 0.0 and q(c, b) == 0.0
     assert parse_store_pred("s.l == 9 || s.l == 7")(a, b) == 1.0
+
+
+def test_deep_nesting_exits_2_with_position(tmp_path, capsys):
+    src = tmp_path / "deep.qlog"
+    src.write_text("def x = " + "(" * 3000 + "zero" + ")" * 3000 + "\n")
+    code, _ = run_cli("eval", str(src), "--def", "x")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and err.startswith("1:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--fuel", "-5"),
+        ("--fuel", "x"),
+        ("--tol", "nan"),
+        ("--tol", "-0.001"),
+    ],
+)
+def test_nonsense_parameters_rejected(flags, capsys):
+    with pytest.raises(SystemExit) as e:
+        run_cli("eval", corpus("geo.qlog"), "--def", "geo", *flags)
+    assert e.value.code == 2
+    assert f"argument {flags[0]}" in capsys.readouterr().err
+
+
+def test_jobs_option_removed(capsys):
+    with pytest.raises(SystemExit) as e:
+        run_cli("eval", corpus("geo.qlog"), "--def", "geo", "--jobs", "2")
+    assert e.value.code == 2
+
+
+def test_boundary_parameters_accepted():
+    code, out = run_cli(
+        "eval", corpus("geo.qlog"), "--def", "geo", "--fuel", "0", "--tol", "0",
+        "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["status"] == "ok"

@@ -182,3 +182,137 @@ def test_json_round_trip():
     assert blob["residual"] == 0.25 and blob["residual_divergent"] == 0.25
     back = dist_from_json(blob)
     assert back.weight(0) == F(1, 4) and back.residual_div == F(1, 4)
+
+
+# -- support order and merging ------------------------------------------------
+#
+# Reference: the support order as first defined, `_sort_token(key_of(v))`
+# over the recursive `key_of`, copied here so the canonicalisation can be
+# optimised without moving a single point.
+
+
+def _ref_key(v):
+    m = getattr(v, "dist_key", None)
+    if m is not None:
+        return m()
+    if isinstance(v, bool):
+        return ("bool", v)
+    if isinstance(v, int):
+        return ("int", v)
+    if isinstance(v, float):
+        return ("float", v)
+    if isinstance(v, str):
+        return ("str", v)
+    if isinstance(v, tuple):
+        return ("tuple",) + tuple(_ref_key(x) for x in v)
+    if v is None:
+        return ("none",)
+    return ("id", id(v))
+
+
+def _ref_token(key):
+    if isinstance(key, tuple):
+        return "(" + ",".join(_ref_token(k) for k in key) + ")"
+    if isinstance(key, int) and not isinstance(key, bool):
+        return f"{key:024d}"
+    return repr(key)
+
+
+def _ref_points(values):
+    """Merged points of equal weight in the reference order."""
+    merged = {}
+    for v in values:
+        k = _ref_key(v)
+        if k in merged:
+            merged[k] = (merged[k][0], merged[k][1] + 1)
+        else:
+            merged[k] = (v, 1)
+    keys = sorted(merged, key=_ref_token)
+    return [(merged[k][0], F(merged[k][1], len(values))) for k in keys]
+
+
+def _same_points(values):
+    got = Dist.from_pairs([(v, F(1, len(values))) for v in values]).points
+    want = _ref_points(values)
+    # repr tells 0.0 from -0.0 and 1 from True, which == does not
+    assert [(repr(v), w) for v, w in got] == [(repr(v), w) for v, w in want]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.5, 1e-05, 10.0, 2.0, 0.25, 3e20, float("inf"), -1.5],
+        [-5, -10, 3, 0, -1, 12, 100],
+        [True, 1, False, 0, 1.0, "1", None],
+        [(), (1,), ((),), (0.5, (1e-05, ())), (2.0, ()), ((1, 2), 3)],
+        [0.0, (-0.0, 1), (-1.0, 1), (0.0, 1)],
+        ["b", "a", "", "a,b", "ab"],
+    ],
+)
+def test_support_order_matches_reference(values):
+    _same_points(values)
+
+
+def test_store_support_order_matches_reference():
+    from qlog.imp import Store
+
+    stores = [
+        Store.of({"x": x, ("a", 0): a, ("a", 1): 1 - a})
+        for x in (3, -2, 10, 0)
+        for a in (1, 0)
+    ]
+    _same_points(stores + [stores[0]])
+
+
+def test_signed_zeros_merge():
+    d = Dist.from_pairs([(0.0, F(1, 4)), (-0.0, F(1, 4)), ((0.0, -0.0), F(1, 2))])
+    assert d.points == ((0.0, F(1, 2)), ((0.0, -0.0), F(1, 2)))
+    assert repr(d.points[0][0]) == "0.0"
+    d = Dist.from_pairs([((-0.0,), F(1, 2)), ((0.0,), F(1, 2))])
+    assert len(d.points) == 1 and repr(d.points[0][0]) == "(-0.0,)"
+
+
+def test_from_pairs_rejects_bad_mass():
+    with pytest.raises(ValueError, match="negative weight -1/4"):
+        Dist.from_pairs([(0, F(5, 4)), (1, F(-1, 4))])
+    with pytest.raises(ValueError, match=r"total mass 5/6 != 1"):
+        Dist.from_pairs([(0, F(1, 2)), (1, F(1, 3))])
+    with pytest.raises(ValueError, match=r"total mass 3/2 != 1"):
+        Dist.from_pairs([(0, F(1, 2))], residual_div=F(1, 2), residual_approx=0.5)
+    with pytest.raises(ValueError, match=r"total mass 0 != 1"):
+        Dist.from_pairs([(0, 0)])
+    assert Dist.from_pairs([(0, 0), (1, 1)]) == dirac(1)
+
+
+def test_total_variation_linear_pass_is_exact():
+    rng = random.Random(15)
+    for _ in range(60):
+        mu, nu = _rand_dist(rng, size=5), _rand_dist(rng, size=5)
+        ref = sum(
+            (abs(mu.weight(v) - nu.weight(v)) for v in set(mu.support() + nu.support())),
+            F(0),
+        ) / 2
+        assert total_variation(mu, nu) == ref
+
+
+def test_support_order_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    atoms = st.one_of(
+        st.floats(allow_nan=True),
+        st.sampled_from([0.0, -0.0, 0.5, 1e-05, 10.0, 2.0]),
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.booleans(),
+        st.text(max_size=3),
+        st.none(),
+    )
+    values = st.recursive(
+        atoms, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(values, min_size=1, max_size=12))
+    def check(vs):
+        _same_points(vs)
+
+    check()

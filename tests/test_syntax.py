@@ -113,3 +113,16 @@ def test_mixture_type_grammar():
     assert is_mixture_type(parse_type("Nat -o (Dist Nat)"))
     assert not is_mixture_type(parse_type("Nat"))
     assert not is_mixture_type(parse_type("Dist Nat *[2,1] Prop"))  # grade > 1
+
+
+def test_deep_nesting_is_a_positioned_syntax_error():
+    deep = "(" * 3000 + "zero" + ")" * 3000
+    with pytest.raises(QlogSyntaxError, match="nested too deeply") as e:
+        parse_file("def x = " + deep)
+    assert e.value.line == 1 and e.value.col > 8
+    with pytest.raises(QlogSyntaxError, match="nested too deeply"):
+        parse_term(deep)
+    with pytest.raises(QlogSyntaxError, match="nested too deeply"):
+        parse_type("(" * 3000 + "Nat" + ")" * 3000)
+    # the parser still works at ordinary depth afterwards
+    assert isinstance(parse_term("(" * 20 + "zero" + ")" * 20), T.Zero)
