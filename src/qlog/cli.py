@@ -19,6 +19,7 @@ error.  With --format json every report is schema-stable
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -206,8 +207,8 @@ def cmd_casestudy(args) -> int:
         return _report(args, {"case": name, "detail": detail},
                        "ok" if ok else "error")
     if name == "coin":
-        c = Fraction(args.c)
-        eps = Fraction(args.eps)
+        c = args.c
+        eps = args.eps
         source = (
             "alphabet C = { Hd, Tl }\n"
             f"def fair : Proc[{c}] C & Proc[{c}] C = fix x : Proc[{c}] C & Proc[{c}] C. "
@@ -236,8 +237,10 @@ def cmd_casestudy(args) -> int:
         }, "ok" if ok else "error")
     if name == "td":
         mdp = random_mdp(args.seed)
-        mdp.alpha = Fraction(args.alpha)
-        mdp.gamma = Fraction(args.gamma)
+        try:  # replace() reruns MDP.__post_init__, which checks alpha, gamma
+            mdp = dataclasses.replace(mdp, alpha=args.alpha, gamma=args.gamma)
+        except ValueError as e:
+            return _usage_error(f"casestudy td: {e}")
         v = random_vector(args.seed * 2 + 1, 3)
         w = random_vector(args.seed * 2 + 2, 3)
         rep = td_contraction_check(mdp, v, w, args.n, tol=args.tol)
@@ -252,6 +255,10 @@ def cmd_casestudy(args) -> int:
     if name == "prp":
         from .hoare import prp_prf_check
 
+        if args.l > args.n:
+            return _usage_error(
+                "casestudy prp: need array length --l <= value range --n"
+            )
         rep = prp_prf_check(args.l, args.n)
         return _report(args, rep.to_json(), "ok" if rep.ok else "error")
     print(f"unknown case study {name}", file=sys.stderr)
@@ -403,13 +410,32 @@ def cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
-def _non_negative_int(text: str) -> int:
+def _usage_error(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
+_non_negative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
+
+
+def _fraction(text: str) -> Fraction:
     try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction, got {text!r}")
 
 
 def _non_negative_float(text: str) -> float:
@@ -426,7 +452,9 @@ def main(argv=None) -> int:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--fuel", type=_non_negative_int, default=60)
     common.add_argument("--tol", type=_non_negative_float, default=1e-6)
-    common.add_argument("--max-iter", dest="max_iter", type=int, default=64)
+    common.add_argument(
+        "--max-iter", dest="max_iter", type=_non_negative_int, default=64
+    )
     common.add_argument("--enums", type=str, default=None)
     common.add_argument("--seed", type=int, default=0)
 
@@ -457,18 +485,18 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("judge", parents=[common])
     sp.add_argument("file")
-    sp.add_argument("--envs", type=int, default=20)
+    sp.add_argument("--envs", type=_positive_int, default=20)
     sp.set_defaults(fn=cmd_judge)
 
     sp = sub.add_parser("casestudy", parents=[common])
     sp.add_argument("name", choices=(
         "markov", "coin", "td", "hypercube", "hoare-ast", "prp"))
-    sp.add_argument("--c", default="1/2")
-    sp.add_argument("--eps", default="1/4")
-    sp.add_argument("--alpha", default="1/2")
-    sp.add_argument("--gamma", default="1/2")
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--l", type=int, default=3)
+    sp.add_argument("--c", type=_fraction, default="1/2")
+    sp.add_argument("--eps", type=_fraction, default="1/4")
+    sp.add_argument("--alpha", type=_fraction, default="1/2")
+    sp.add_argument("--gamma", type=_fraction, default="1/2")
+    sp.add_argument("--n", type=_positive_int, default=3)
+    sp.add_argument("--l", type=_non_negative_int, default=3)
     sp.set_defaults(fn=cmd_casestudy)
 
     sp = sub.add_parser("hoare", parents=[common])

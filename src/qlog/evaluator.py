@@ -43,6 +43,7 @@ from .measures import (
 from . import terms as T
 from .normalize import normal_form
 from .parser import parse_term, parse_type
+from .transport import solve_transport
 from .typecheck import Checker
 from .values import (
     UNIT,
@@ -305,8 +306,6 @@ class Evaluator:
                     sided = sided or d.sided
                     row.append(Fraction(d.value))
             matrix.append(row)
-        from .transport import solve_transport
-
         cost, _ = solve_transport(
             [w for _, w in xs], [w for _, w in ys], matrix
         )
@@ -735,8 +734,6 @@ class Evaluator:
         supplies = [w for _, w in mu.points]
         demands = [w for _, w in nu.points]
         matrix = [[cost(x, y) for y, _ in nu.points] for x, _ in mu.points]
-        from .transport import solve_transport
-
         opt, _ = solve_transport(supplies, demands, matrix)
         radius = _cap(worst_rad + mu_a.radius + nu_a.radius)
         return Approx(float(opt), radius, sided)

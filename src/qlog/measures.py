@@ -332,7 +332,7 @@ def _transport_instance(metric, mu: Dist, nu: Dist):
     ys = nu.points
     supplies = [w for _, w in xs]
     demands = [w for _, w in ys]
-    costs = [[Fraction(float(metric(x, y))) for y, _ in ys] for x, _ in xs]
+    costs = [[float(metric(x, y)) for y, _ in ys] for x, _ in xs]
     return xs, ys, supplies, demands, costs
 
 

@@ -122,6 +122,18 @@ def behavioral_distance(
     radius = 1.0
     if all(id(x) == id(y) for x, y in pairs):
         return Approx(0.0, 0.0)
+    # The process graph is fixed: step data per distinct pair, built once.
+    steps = []
+    for x, y in pairs:
+        if id(x) != id(y):
+            sx, sy = _step_nodes(x), _step_nodes(y)
+            steps.append((
+                (id(x), id(y)),
+                _label_distance(x, y),
+                [w for _, w in sx],
+                [w for _, w in sy],
+                [[(id(u), id(v)) for v, _ in sy] for u, _ in sx],
+            ))
     rounds = 0
     slack = 0.0  # accumulated perturbation error
     while radius > tol:
@@ -131,44 +143,30 @@ def behavioral_distance(
                 "behavioral distance did not converge: recursion mass does "
                 "not contract at this discount"
             )
-        fresh: Dict[Tuple[int, int], float] = {}
+        fresh: Dict[Tuple[int, int], float] = {key: 0.0 for key in D}  # diagonal: 0
         factor = 0.0
         any_active = False
-        for x, y in pairs:
-            key = (id(x), id(y))
-            if id(x) == id(y):
-                fresh[key] = 0.0
-                continue
+        for key, label, supplies, demands, succ in steps:
             if D[key] >= 1.0:
                 fresh[key] = 1.0
                 continue
-            sx = _step_nodes(x)
-            sy = _step_nodes(y)
-            supplies = [w for _, w in sx]
-            demands = [w for _, w in sy]
-
-            def live(u, v):
-                return id(u) != id(v) and D[(id(u), id(v))] < 1.0
-
+            # live successor pairs: distinct and not yet saturated
+            live = [[k[0] != k[1] and D[k] < 1.0 for k in row] for row in succ]
             # tiny perturbation steers ties towards couplings avoiding
             # live pairs, giving the sharpest certified factor
             costs = [
-                [
-                    Fraction(D[(id(u), id(v))])
-                    + (_PERT if live(u, v) else Fraction(0))
-                    for v, _ in sy
-                ]
-                for u, _ in sx
+                [Fraction(D[k]) + _PERT if on else D[k] for k, on in zip(row, live_row)]
+                for row, live_row in zip(succ, live)
             ]
             opt, flow = solve_transport(supplies, demands, costs)
-            value = min(_label_distance(x, y) + cf * float(opt), 1.0)
+            value = min(label + cf * float(opt), 1.0)
             fresh[key] = value
             if value >= 1.0:
                 continue
             any_active = True
             q_mass = 0.0
             for (i, j), wgt in flow.items():
-                if live(sx[i][0], sy[j][0]):
+                if live[i][j]:
                     q_mass += float(wgt)
             factor = max(factor, cf * min(q_mass, 1.0))
         converged_exactly = fresh == D
@@ -200,20 +198,27 @@ def bisimilarity_distance(evaluator, p: Any, q: Any, c: Grade, tol: float) -> Ap
     cf = float(c)
     pairs = _reachable_pairs(a, b)
     rel: Dict[Tuple[int, int], float] = {(id(x), id(y)): 0.0 for x, y in pairs}
+    # The process graph is fixed: step measures per distinct pair, built
+    # once; the metric reads the current relation.
+    steps = [
+        (
+            (id(x), id(y)),
+            _label_distance(x, y),
+            Dist.from_pairs(_step_nodes(x)),
+            Dist.from_pairs(_step_nodes(y)),
+        )
+        for x, y in pairs
+        if id(x) != id(y)
+    ]
+
+    def metric(u, v):
+        return rel[(id(deref(u)), id(deref(v)))]
+
     radius = 1.0
     while radius > tol:
-        fresh = {}
-        for x, y in pairs:
-            key = (id(x), id(y))
-            if id(x) == id(y):
-                fresh[key] = 0.0
-                continue
-            cheapest = kantorovich(
-                lambda u, v: rel[(id(deref(u)), id(deref(v)))],
-                Dist.from_pairs([(u, w) for u, w in _step_nodes(x)]),
-                Dist.from_pairs([(v, w) for v, w in _step_nodes(y)]),
-            )
-            fresh[key] = min(_label_distance(x, y) + cf * cheapest, 1.0)
+        fresh = {key: 0.0 for key in rel}
+        for key, label, mu, nu in steps:
+            fresh[key] = min(label + cf * kantorovich(metric, mu, nu), 1.0)
         rel = fresh
         radius *= cf
     return Approx(rel[(id(a), id(b))], min(radius, 1.0))

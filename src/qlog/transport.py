@@ -8,9 +8,13 @@ finite distributions; the optimal flow is the optimal coupling.
 Two independent routes are provided:
 
 * :func:`solve_transport` -- transportation simplex on the bipartite
-  support graph.  All pivoting is done in exact ``Fraction`` arithmetic
-  with Bland's anti-cycling rule, so it terminates and the optimum is
-  exact.  The basic flow doubles as the coupling witness.
+  support graph.  Masses and costs are scaled once to integers over
+  their common denominators, so every pivot is exact rational
+  arithmetic carried out on Python ints; the optimum and the flow are
+  divided back to ``Fraction``s at the end.  Dantzig's entering rule
+  switches to Bland's anti-cycling rule after a run of degenerate
+  pivots, so it terminates and the optimum is exact.  The basic flow
+  doubles as the coupling witness.
 
 * :func:`brute_force_transport` -- enumerates every basic feasible
   solution (spanning trees of the complete bipartite graph) and takes
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 Flow = Dict[Tuple[int, int], Fraction]
@@ -43,6 +48,14 @@ def _validate(supplies, demands, costs) -> None:
         raise TransportError("cost matrix shape mismatch")
 
 
+def _ratios(values) -> List[Tuple[int, int]]:
+    """Each value as an exact (numerator, positive denominator) pair."""
+    try:  # int, float and Fraction convert without a Fraction object
+        return [v.as_integer_ratio() for v in values]
+    except AttributeError:
+        return [Fraction(v).as_integer_ratio() for v in values]
+
+
 def solve_transport(
     supplies: Sequence[Fraction],
     demands: Sequence[Fraction],
@@ -53,33 +66,57 @@ def solve_transport(
     Returns ``(optimal_cost, flow)`` where ``flow`` maps basic cells
     (i, j) to their (possibly zero) shipped amount.  Rows or columns
     with zero supply/demand are allowed and receive no flow.
+
+    Masses are scaled by their common denominator ``ds`` and costs by
+    theirs, ``dc``, so every pivot runs on Python ints; the results are
+    divided back once at the end.  Scaling by positive constants keeps
+    every comparison, hence every pivot, of the rational simplex.
     """
-    supplies = [Fraction(a) for a in supplies]
-    demands = [Fraction(b) for b in demands]
-    costs = [[Fraction(c) for c in row] for row in costs]
-    _validate(supplies, demands, costs)
+    sup = _ratios(supplies)
+    dem = _ratios(demands)
+    cst = [_ratios(row) for row in costs]
+    ds = lcm(*[d for _, d in sup], *[d for _, d in dem])
+    a_all = [p * (ds // d) for p, d in sup]
+    b_all = [p * (ds // d) for p, d in dem]
+    # _validate's checks on the scaled masses; _validate words the error
+    if (
+        not a_all
+        or not b_all
+        or min(a_all) < 0
+        or min(b_all) < 0
+        or sum(a_all) != sum(b_all)
+        or len(cst) != len(a_all)
+        or any(len(row) != len(b_all) for row in cst)
+    ):
+        _validate(
+            [Fraction(p, d) for p, d in sup], [Fraction(p, d) for p, d in dem], cst
+        )
 
     # Drop zero rows/columns; they carry no mass.
-    rows = [i for i, a in enumerate(supplies) if a > 0]
-    cols = [j for j, b in enumerate(demands) if b > 0]
+    rows = [i for i, s in enumerate(a_all) if s > 0]
+    cols = [j for j, s in enumerate(b_all) if s > 0]
     if not rows:
         return Fraction(0), {}
-    a = [supplies[i] for i in rows]
-    b = [demands[j] for j in cols]
-    c = [[costs[i][j] for j in cols] for i in rows]
+    a = [a_all[i] for i in rows]
+    b = [b_all[j] for j in cols]
+    kept = [[cst[i][j] for j in cols] for i in rows]
+    dc = lcm(*{d for row in kept for _, d in row})
+    c = [[p * (dc // d) for p, d in row] for row in kept]
     m, n = len(a), len(b)
 
     # Northwest-corner initial basis (m + n - 1 cells, zeros kept for
-    # degeneracy).
-    x: Flow = {}
-    basis: List[Tuple[int, int]] = []
+    # degeneracy).  The basis is a spanning tree on nodes 0..m-1 (rows)
+    # and m..m+n-1 (columns); ``x`` keeps the cells in insertion order.
+    x: Dict[Tuple[int, int], int] = {}
+    adj: List[List[int]] = [[] for _ in range(m + n)]
     i = j = 0
     rem_a = a[:]
     rem_b = b[:]
     while i < m and j < n:
         q = min(rem_a[i], rem_b[j])
         x[(i, j)] = q
-        basis.append((i, j))
+        adj[i].append(m + j)
+        adj[m + j].append(i)
         rem_a[i] -= q
         rem_b[j] -= q
         if i == m - 1 and j == n - 1:
@@ -89,57 +126,25 @@ def solve_transport(
         else:
             j += 1
 
-    def duals() -> Tuple[List[Fraction], List[Fraction]]:
-        u: List = [None] * m
-        v: List = [None] * n
-        u[0] = Fraction(0)
-        by_row: Dict[int, List[int]] = {}
-        by_col: Dict[int, List[int]] = {}
-        for (bi, bj) in basis:
-            by_row.setdefault(bi, []).append(bj)
-            by_col.setdefault(bj, []).append(bi)
-        stack = [("r", 0)]
-        while stack:
-            kind, k = stack.pop()
-            if kind == "r":
-                for bj in by_row.get(k, []):
-                    if v[bj] is None:
-                        v[bj] = c[k][bj] - u[k]
-                        stack.append(("c", bj))
-            else:
-                for bi in by_col.get(k, []):
-                    if u[bi] is None:
-                        u[bi] = c[bi][k] - v[k]
-                        stack.append(("r", bi))
-        if any(ui is None for ui in u) or any(vj is None for vj in v):
-            raise TransportError("disconnected basis (internal error)")
-        return u, v
+    # Tree rooted at row 0: parent, depth and dual potential per node
+    # (u_i = pot[i], v_j = pot[m + j], u_i + v_j = c_ij on basic cells).
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot = [0] * (m + n)
 
-    def cycle_from(cell: Tuple[int, int]) -> List[Tuple[int, int]]:
-        # Unique alternating cycle in basis + {cell}: path in the basis
-        # tree from row node cell[0] to column node cell[1].
-        adj: Dict[object, List[Tuple[object, Tuple[int, int]]]] = {}
-        for (bi, bj) in basis:
-            adj.setdefault(("r", bi), []).append((("c", bj), (bi, bj)))
-            adj.setdefault(("c", bj), []).append((("r", bi), (bi, bj)))
-        start, goal = ("r", cell[0]), ("c", cell[1])
-        prev: Dict[object, Tuple[object, Tuple[int, int]]] = {start: (None, None)}
-        stack = [start]
+    def hang(top: int) -> None:
+        # Re-derive parent, depth and potential below ``top`` from its own.
+        stack = [top]
         while stack:
-            node = stack.pop()
-            if node == goal:
-                break
-            for nxt, edge in adj.get(node, []):
-                if nxt not in prev:
-                    prev[nxt] = (node, edge)
-                    stack.append(nxt)
-        path_cells = []
-        node = goal
-        while node != start:
-            node, edge = prev[node]
-            path_cells.append(edge)
-        path_cells.reverse()
-        return [cell] + path_cells
+            k = stack.pop()
+            for t in adj[k]:
+                if t != parent[k]:
+                    parent[t] = k
+                    depth[t] = depth[k] + 1
+                    pot[t] = (c[k][t - m] if k < m else c[t][k - m]) - pot[k]
+                    stack.append(t)
+
+    hang(0)
 
     guard = 0
     degenerate_streak = 0
@@ -148,29 +153,39 @@ def solve_transport(
         guard += 1
         if guard > 200000:
             raise TransportError("pivot limit exceeded (internal error)")
-        u, v = duals()
-        entering = None
-        best = Fraction(0)
-        for bi in range(m):
-            ui = u[bi]
-            row = c[bi]
-            for bj in range(n):
-                if (bi, bj) in x:
-                    continue
-                rc = row[bj] - ui - v[bj]
-                if rc < 0:
-                    if bland:
-                        entering = (bi, bj)
-                        break
-                    if rc < best:
-                        best = rc
-                        entering = (bi, bj)
-            if bland and entering:
-                break
-        if entering is None:
+        # Reduced costs in row-major order; basic cells have exactly 0.
+        v = pot[m:]
+        rcs = [cij - ui - vj for ui, ci in zip(pot, c) for cij, vj in zip(ci, v)]
+        if bland:
+            k = next((k for k, rc in enumerate(rcs) if rc < 0), None)
+        else:
+            best = min(rcs)
+            k = rcs.index(best) if best < 0 else None
+        if k is None:
             break
-        cyc = cycle_from(entering)
-        minus = cyc[1::2]
+        ei, ej = entering = divmod(k, n)
+
+        # The cycle closed by the entering cell runs from row ei through
+        # the tree to column ej; a tree edge is a "minus" cell when that
+        # walk crosses it from its row to its column.
+        plus: List[Tuple[int, int]] = []
+        minus: List[Tuple[int, int]] = []
+        up, down = ei, m + ej
+        while up != down:
+            if depth[up] >= depth[down]:
+                k = up
+                up = parent[k]
+                if k < m:
+                    minus.append((k, up - m))
+                else:
+                    plus.append((up, k - m))
+            else:
+                k = down
+                down = parent[k]
+                if k < m:
+                    plus.append((k, down - m))
+                else:
+                    minus.append((down, k - m))
         theta = min(x[cell] for cell in minus)
         if theta == 0:
             degenerate_streak += 1
@@ -179,18 +194,36 @@ def solve_transport(
         else:
             degenerate_streak = 0
         leaving = min(cell for cell in minus if x[cell] == theta)
-        x[entering] = Fraction(0)
-        basis.append(entering)
-        for k, cell in enumerate(cyc):
-            x[cell] = x[cell] + theta if k % 2 == 0 else x[cell] - theta
+        x[entering] = theta
+        for cell in plus:
+            x[cell] += theta
+        for cell in minus:
+            x[cell] -= theta
         del x[leaving]
-        basis.remove(leaving)
 
-    cost = sum((x[cell] * c[cell[0]][cell[1]] for cell in x), Fraction(0))
-    flow: Flow = {}
-    for (bi, bj), q in x.items():
-        if q > 0:
-            flow[(rows[bi], cols[bj])] = q
+        # Swap the edges, then re-hang the subtree cut off by the leaving
+        # edge from the endpoint of the entering edge that lies inside it.
+        li, lj = leaving
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        low = li if parent[li] == m + lj else m + lj
+        inner, outer = ei, m + ej
+        k = inner
+        while k != low and k != -1:
+            k = parent[k]
+        if k == -1:
+            inner, outer = outer, inner
+        parent[inner] = outer
+        depth[inner] = depth[outer] + 1
+        pot[inner] = c[ei][ej] - pot[outer]
+        hang(inner)
+
+    cost = Fraction(sum(q * c[i][j] for (i, j), q in x.items()), ds * dc)
+    flow: Flow = {
+        (rows[i], cols[j]): Fraction(q, ds) for (i, j), q in x.items() if q > 0
+    }
     return cost, flow
 
 

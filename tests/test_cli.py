@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -173,3 +174,75 @@ def test_boundary_parameters_accepted():
         "--format", "json",
     )
     assert code == 0 and json.loads(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("envs", ["0", "-3", "x"])
+def test_judge_envs_must_be_positive(envs, capsys):
+    with pytest.raises(SystemExit) as e:
+        run_cli("judge", corpus("derivs", "01_true.json"), "--envs", envs)
+    assert e.value.code == 2
+    assert "argument --envs" in capsys.readouterr().err
+
+
+def test_judge_one_env_accepted():
+    code, out = run_cli(
+        "judge", corpus("derivs", "01_true.json"), "--envs", "1", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["status"] == "ok"
+
+
+def test_hoare_max_iter_must_be_non_negative(capsys):
+    with pytest.raises(SystemExit) as e:
+        run_cli(
+            "hoare", "--left", corpus("imp", "skip.imp"),
+            "--right", corpus("imp", "skip.imp"),
+            "--pre", "tt", "--post", "tt", "--max-iter", "-1",
+        )
+    assert e.value.code == 2
+    assert "argument --max-iter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, where",
+    [
+        (("prp", "--n", "0"), "argument --n"),
+        (("hypercube", "--n", "0"), "argument --n"),
+        (("td", "--n", "-1"), "argument --n"),
+        (("prp", "--l", "-1"), "argument --l"),
+        (("td", "--alpha", "abc"), "argument --alpha"),
+        (("td", "--gamma", "1/0"), "argument --gamma"),
+        (("coin", "--c", "abc"), "argument --c"),
+    ],
+)
+def test_casestudy_parameters_rejected_by_parser(flags, where, capsys):
+    with pytest.raises(SystemExit) as e:
+        run_cli("casestudy", *flags)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("prp", "--n", "2", "--l", "3"), "need array length"),
+        (("td", "--alpha", "2", "--gamma", "3"), "need 0 <= alpha < 1"),
+        (("td", "--alpha", "1"), "need 0 <= alpha < 1"),
+        (("td", "--gamma", "0"), "need 0 <= alpha < 1"),
+    ],
+)
+def test_casestudy_parameters_rejected(flags, message, capsys):
+    code, out = run_cli("casestudy", *flags)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_casestudy_td_keeps_valid_alpha_gamma():
+    code, out = run_cli(
+        "casestudy", "td", "--alpha", "3/10", "--gamma", "4/5", "--n", "2",
+        "--format", "json",
+    )
+    blob = json.loads(out)
+    assert code == 0 and blob["status"] == "ok"
+    assert blob["k"] == float(Fraction(47, 50))  # 1 - alpha + gamma * alpha

@@ -177,3 +177,38 @@ def test_bisimilarity_agrees_with_behavioral():
                 bd = behavioral_distance(ev, vals[x].value, vals[y].value, Grade(c), tol)
                 bs = bisimilarity_distance(ev, vals[x].value, vals[y].value, Grade(c), tol)
                 assert abs(bd.value - bs.value) <= 2 * tol
+
+
+# Both routes on the corpus pairs, as float.hex of (value, radius); the
+# figures are those of the Fraction simplex and the per-round step
+# rebuild that the integer simplex and the hoisted step data replaced.
+PINNED = [
+    ("coin_half.qlog", "hd", "hde", behavioral_distance, F(1, 2),
+     "0x1.998a390000013p-3", "0x1.338c00000cccap-14"),
+    ("coin_half.qlog", "hd", "hde", bisimilarity_distance, F(1, 2),
+     "0x1.99994bc090000p-3", "0x1.0000000000000p-14"),
+    ("coin_half.qlog", "hd", "hde", bisimilarity_distance, F(9, 10),
+     "0x1.627627627626fp-1", "0x1.8a753d83eaa71p-14"),
+    ("markov.qlog", "m", "n", behavioral_distance, F(1),
+     "0x1.ffec05c654ac8p-3", "0x1.3fa39ab55f98ep-14"),
+    ("markov.qlog", "m", "n", bisimilarity_distance, F(1, 2),
+     "0x1.9999999912e78p-4", "0x1.0000000000000p-14"),
+    ("markov.qlog", "m", "n", bisimilarity_distance, F(9, 10),
+     "0x1.b6db6db6db6dbp-3", "0x1.8a753d83eaa71p-14"),
+]
+
+
+@pytest.mark.parametrize("fname,left,right,route,c,value,radius", PINNED)
+def test_process_distances_pinned(fname, left, right, route, c, value, radius):
+    _, ev, vals = load(fname)
+    d = route(ev, vals[left].value, vals[right].value, Grade(c), 1e-4)
+    assert (d.value.hex(), d.radius.hex()) == (value, radius)
+
+
+@pytest.mark.parametrize("route", [behavioral_distance, bisimilarity_distance])
+def test_residual_step_mass_rejected(route):
+    _, ev, vals = load("coin_half.qlog")
+    hd = deref(vals["hd"].value)
+    leaky = VProc("Hd", Dist.from_pairs([(hd, F(1, 2))], residual_div=F(1, 2)))
+    with pytest.raises(ProcessError, match="residual mass"):
+        route(ev, leaky, hd, Grade(F(1, 2)), 1e-4)
