@@ -167,10 +167,10 @@ def check_biased_coin():
             ev, values["hd"].value, values["hde"].value, Grade(c), 1e-4
         )
         expect = float(c * eps / (1 - c + c * eps))
-        took = time.time() - t0
-        good = abs(d.value - expect) <= 1e-3 and took < 10
-        ok = ok and good
-        results.append(f"c={c}: {d.value:.6f} vs {expect:.6f} in {took:.2f}s")
+        slow = time.time() - t0 >= 10
+        ok = ok and abs(d.value - expect) <= 1e-3 and not slow
+        results.append(f"c={c}: {d.value:.6f} vs {expect:.6f}"
+                       + (" (over 10s)" if slow else ""))
     return ("biased-coin-tightness", ok, "; ".join(results))
 
 
@@ -300,9 +300,10 @@ def check_prp_prf():
         ok = ok and rep.ok
         eps3 = rep.rows[-1]["epsilon"]
         details.append(f"N={n}: eps_3={eps3} tv={rep.rows[-1]['tv']:.5f}")
-    took = time.time() - t0
-    ok = ok and took < 120
-    return ("prp-prf-switching", ok, "; ".join(details) + f"; {took:.1f}s")
+    if time.time() - t0 >= 120:
+        ok = False
+        details.append("over 120s")
+    return ("prp-prf-switching", ok, "; ".join(details))
 
 
 # -- 11 --------------------------------------------------------------------

@@ -209,6 +209,13 @@ def cmd_casestudy(args) -> int:
     if name == "coin":
         c = args.c
         eps = args.eps
+        # checked here, before they are spliced into generated source
+        if not 0 < c < 1:
+            return _usage_error(f"casestudy coin: --c must lie in (0, 1), got {c}")
+        if not -Fraction(1, 2) < eps < Fraction(1, 2):
+            return _usage_error(
+                f"casestudy coin: --eps must lie in (-1/2, 1/2), got {eps}"
+            )
         source = (
             "alphabet C = { Hd, Tl }\n"
             f"def fair : Proc[{c}] C & Proc[{c}] C = fix x : Proc[{c}] C & Proc[{c}] C. "
@@ -229,7 +236,8 @@ def cmd_casestudy(args) -> int:
             vals[nm] = ev.eval({}, d.term)
         d = behavioral_distance(ev, vals["hd"].value, vals["hde"].value,
                                 Grade(c), args.tol)
-        expect = float(c * eps / (1 - c + c * eps))
+        # biasing by -eps mirrors biasing by eps
+        expect = float(c * abs(eps) / (1 - c + c * abs(eps)))
         ok = abs(d.value - expect) <= max(args.tol * 10, 1e-3)
         return _report(args, {
             "case": name, "c": str(c), "eps": str(eps),

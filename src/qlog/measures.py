@@ -64,7 +64,10 @@ def key_of(v: Any) -> Any:
     if t is float:
         return ("float", v)
     if t is tuple:
-        return ("tuple", *map(key_of, v))
+        # float elements inline: value tuples are mostly floats
+        return (
+            "tuple", *[("float", x) if type(x) is float else key_of(x) for x in v]
+        )
     if t is int:
         return ("int", v)
     if t is str:
@@ -123,7 +126,18 @@ def _order_token(v: Any, floats: Dict[float, str]) -> str:
     if t is tuple:
         if not v:
             return "('tuple')"
-        return "('tuple'," + ",".join([_order_token(x, floats) for x in v]) + ")"
+        parts = []
+        for x in v:
+            if type(x) is float:  # the branch above, inlined
+                s = floats.get(x)
+                if s is None:
+                    s = "('float'," + repr(x) + ")"
+                    if x and x == x:
+                        floats[x] = s
+            else:
+                s = _order_token(x, floats)
+            parts.append(s)
+        return "('tuple'," + ",".join(parts) + ")"
     if t is int:
         return f"('int',{v:024d})"
     if t is str or t is bool:

@@ -107,6 +107,7 @@ def _label_distance(a: VProc, b: VProc) -> float:
 
 
 _PERT = Fraction(1, 2**50)
+_ROUNDING = 2.0**-50
 
 
 def behavioral_distance(
@@ -214,11 +215,23 @@ def bisimilarity_distance(evaluator, p: Any, q: Any, c: Grade, tol: float) -> Ap
     def metric(u, v):
         return rel[(id(deref(u)), id(deref(v)))]
 
+    # One round in floats is off by at most four roundings of 2^-53 (the
+    # LP optimum, c, the product, the sum); at a numeric fixed point the
+    # contraction turns that into an error of at most _ROUNDING / (1 - c).
+    floor = _ROUNDING / float(1 - c.rational)
     radius = 1.0
     while radius > tol:
         fresh = {key: 0.0 for key in rel}
         for key, label, mu, nu in steps:
             fresh[key] = min(label + cf * kantorovich(metric, mu, nu), 1.0)
+        settled = fresh == rel
         rel = fresh
-        radius *= cf
+        radius = max(radius * cf, floor)
+        if settled:
+            # The iterates rise monotonically through finitely many
+            # floats, so this is reached whatever the tolerance.  More
+            # rounds would repeat rel; only the radius moves on.
+            while radius > max(tol, floor):
+                radius = max(radius * cf, floor)
+            break
     return Approx(rel[(id(a), id(b))], min(radius, 1.0))

@@ -17,6 +17,12 @@ K(TD^n V, TD^n W) <= k^n * d(V, W).  It computes the exact transport
 optimum while the support product stays small and otherwise falls
 back to the shared-randomness coupling cost, which certifies an upper
 bound on the same optimum (the report says which route each n took).
+
+The route rule: step m takes the exact LP iff (distinct V) * (distinct
+W) <= lp_cap**2, counted over the support of the paired distribution,
+and only then are the marginal measures of V and W built.  Each
+support point is a distinct (V, W) pair, so a support larger than
+lp_cap**2 decides the coupling route without counting.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .measures import Dist, dirac, kantorovich
+from .measures import Dist, dirac, kantorovich, key_of
 from .grades import TOL
 
 
@@ -80,14 +86,18 @@ def _state_branches(mdp: MDP, i: int, vi: float, v: Tuple[float, ...]) -> Dist:
     )
 
 
-def td_step(mdp: MDP, v: Tuple[float, ...]) -> Dist:
-    """Exact one-step distribution over updated value vectors."""
+def _check_vector(mdp: MDP, v: Tuple[float, ...]) -> None:
     if len(v) != mdp.n_states:
         raise ValueError(
             f"value vector has {len(v)} entries for {mdp.n_states} states"
         )
     if any(not 0 <= x <= 1 for x in v):
         raise ValueError("value entries must lie in [0,1]")
+
+
+def td_step(mdp: MDP, v: Tuple[float, ...]) -> Dist:
+    """Exact one-step distribution over updated value vectors."""
+    _check_vector(mdp, v)
     acc = dirac(())
     for i in range(mdp.n_states):
         branch = _state_branches(mdp, i, v[i], v)
@@ -159,6 +169,13 @@ def td_contraction_check(
     support_cap: int = 200000,
 ) -> TDReport:
     """Verify K(TD^m V, TD^m W) <= k^m d(V,W) for every m <= n."""
+    _check_vector(mdp, v)
+    _check_vector(mdp, w)
+    if n < 0:
+        raise ValueError(f"step count must be >= 0, got {n}")
+    if lp_cap < 0:
+        raise ValueError(f"lp_cap must be >= 0, got {lp_cap}")
+    cap = lp_cap * lp_cap
     kf = float(mdp.k)
     report = TDReport(k=kf, d0=d_max(v, w))
     pairs = dirac((tuple(v), tuple(w)))
@@ -170,12 +187,16 @@ def td_contraction_check(
                 f"support blow-up: {len(pairs.points)} pairs at step {m}"
             )
         bound *= kf
-        mu = Dist.from_pairs([(pv, q) for (pv, _), q in pairs.points])
-        nu = Dist.from_pairs([(pw, q) for (_, pw), q in pairs.points])
         coupling_cost = float(
             sum(float(q) * d_max(pv, pw) for (pv, pw), q in pairs.points)
         )
-        if len(mu.points) * len(nu.points) <= lp_cap * lp_cap:
+        if len(pairs.points) <= cap and (
+            len({key_of(pv) for (pv, _), _ in pairs.points})
+            * len({key_of(pw) for (_, pw), _ in pairs.points})
+            <= cap
+        ):
+            mu = Dist.from_pairs([(pv, q) for (pv, _), q in pairs.points])
+            nu = Dist.from_pairs([(pw, q) for (_, pw), q in pairs.points])
             measured = kantorovich(d_max, mu, nu)
             mode = "exact-lp"
         else:

@@ -4,6 +4,8 @@ Each test prints one PASS/FAIL line; `qlog suite` runs the same
 checks from the command line.
 """
 
+import itertools
+
 import pytest
 
 from qlog import acceptance
@@ -61,3 +63,25 @@ def test_11_logic_suite():
 
 def test_12_typechecker_corpus():
     _run(acceptance.check_typechecker_corpus)
+
+
+def _clock(step):
+    ticks = itertools.count()
+    return lambda: next(ticks) * step
+
+
+@pytest.mark.parametrize(
+    "check, limit",
+    [(acceptance.check_biased_coin, 10), (acceptance.check_prp_prf, 120)],
+)
+def test_details_do_not_read_the_clock(check, limit, monkeypatch):
+    # `qlog suite --format json` must be byte-deterministic: the time
+    # limits decide the verdict but no seconds reach the details
+    runs = []
+    for step in (0.0, limit / 4):  # one step between reading t0 and the end
+        monkeypatch.setattr(acceptance.time, "time", _clock(step))
+        runs.append(check())
+    assert runs[0] == runs[1] and runs[0][1]
+    monkeypatch.setattr(acceptance.time, "time", _clock(limit))
+    _, ok, detail = check()
+    assert not ok and f"over {limit}s" in detail

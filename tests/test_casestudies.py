@@ -171,6 +171,80 @@ def test_td_rejects_bad_vectors():
         td_step(mdp, (2.0, 0.0, 0.0))  # outside [0,1]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((0.5, 0.5), (0.0, 0.0, 0.0), 3), "value vector has 2 entries for 3 states"),
+        (((0.0,) * 3, (0.0,) * 4, 3), "value vector has 4 entries for 3 states"),
+        (((5.0, 0.0, 0.0), (0.0,) * 3, 3), r"value entries must lie in \[0,1\]"),
+        (((0.0,) * 3, (0.0, -0.5, 0.0), 3), r"value entries must lie in \[0,1\]"),
+        (((0.0,) * 3, (0.0, float("nan"), 0.0), 3), r"must lie in \[0,1\]"),
+        (((0.0,) * 3, (1.0,) * 3, -1), "step count must be >= 0, got -1"),
+        (((0.0,) * 3, (1.0,) * 3, 2, 1e-6, -1), "lp_cap must be >= 0, got -1"),
+    ],
+)
+def test_td_contraction_rejects_bad_input(args, message):
+    with pytest.raises(ValueError, match=message):
+        td_contraction_check(random_mdp(0), *args)
+
+
+def _td_rows_reference(mdp, v, w, n, lp_cap, routes):
+    """The rows of td_contraction_check as first written: both marginals
+    built at every step.  Records (N, |V|, |W|) per step in ``routes``."""
+    kf = float(mdp.k)
+    pairs = dirac((tuple(v), tuple(w)))
+    bound = d_max(v, w)
+    rows = []
+    for m in range(1, n + 1):
+        pairs = _paired_step(mdp, pairs)
+        bound *= kf
+        mu = Dist.from_pairs([(pv, q) for (pv, _), q in pairs.points])
+        nu = Dist.from_pairs([(pw, q) for (_, pw), q in pairs.points])
+        coupling_cost = float(
+            sum(float(q) * d_max(pv, pw) for (pv, pw), q in pairs.points)
+        )
+        routes.append((len(pairs.points), len(mu.points), len(nu.points)))
+        if len(mu.points) * len(nu.points) <= lp_cap * lp_cap:
+            measured = kantorovich(d_max, mu, nu)
+            mode = "exact-lp"
+        else:
+            measured = coupling_cost
+            mode = "coupling-upper-bound"
+        rows.append({"n": m, "mode": mode, "measured": measured,
+                     "coupling_cost": coupling_cost, "bound": bound,
+                     "ok": measured <= bound + 1e-6})
+    return rows
+
+
+def _hex_rows(rows):
+    return [
+        {k: x.hex() if type(x) is float else x for k, x in row.items()}
+        for row in rows
+    ]
+
+
+def test_td_contraction_rows_match_reference():
+    routes = {"lp": 0, "pigeonhole": 0, "counted": 0, "merged": 0}
+    for seed in range(20):
+        mdp = random_mdp(seed)
+        if seed % 2:
+            mdp.gamma = F(4, 5)
+        v, w = random_vector(seed, 3), random_vector(seed + 99, 3)
+        for lp_cap in (0, 1, 2, 3, 5, 25):
+            seen = []
+            want = _td_rows_reference(mdp, v, w, 5, lp_cap, seen)
+            got = td_contraction_check(mdp, v, w, 5, lp_cap=lp_cap).rows
+            assert _hex_rows(got) == _hex_rows(want), (seed, lp_cap)
+            for size, nx, ny in seen:
+                cap = lp_cap * lp_cap
+                routes["lp"] += nx * ny <= cap
+                routes["pigeonhole"] += size > cap
+                routes["counted"] += size <= cap < nx * ny
+                routes["merged"] += nx < size
+    # every route of the rule is taken, and the 1/16 grid merges points
+    assert all(routes.values()), routes
+
+
 def _paired_step_reference(mdp, pair_dist):
     """The paired step as first written: one triple loop per branch."""
     out = []

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -229,6 +230,14 @@ def test_casestudy_parameters_rejected_by_parser(flags, where, capsys):
         (("td", "--alpha", "2", "--gamma", "3"), "need 0 <= alpha < 1"),
         (("td", "--alpha", "1"), "need 0 <= alpha < 1"),
         (("td", "--gamma", "0"), "need 0 <= alpha < 1"),
+        # coin parameters are checked before the source is generated, so
+        # no error points into text the user never wrote
+        (("coin", "--c", "2"), "--c must lie in (0, 1), got 2"),
+        (("coin", "--c", "0"), "--c must lie in (0, 1), got 0"),
+        (("coin", "--c", "1"), "--c must lie in (0, 1), got 1"),
+        (("coin", "--eps", "2"), "--eps must lie in (-1/2, 1/2), got 2"),
+        (("coin", "--eps", "1/2"), "--eps must lie in (-1/2, 1/2), got 1/2"),
+        (("coin", "--eps=-1/2"), "--eps must lie in (-1/2, 1/2), got -1/2"),
     ],
 )
 def test_casestudy_parameters_rejected(flags, message, capsys):
@@ -236,6 +245,16 @@ def test_casestudy_parameters_rejected(flags, message, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not re.search(r"\d+:\d+:", err)  # no line:column position
+
+
+def test_casestudy_coin_negative_eps_uses_mirrored_closed_form():
+    code, out = run_cli(
+        "casestudy", "coin", "--eps=-1/10", "--tol", "1e-4", "--format", "json"
+    )
+    blob = json.loads(out)
+    assert code == 0 and blob["status"] == "ok"
+    assert blob["closed_form"] == 1 / 11  # c|eps| / (1 - c + c|eps|) at c = 1/2
 
 
 def test_casestudy_td_keeps_valid_alpha_gamma():

@@ -16,10 +16,12 @@ from qlog.measures import (
     kantorovich,
     kantorovich_exact,
     kantorovich_oracle,
+    key_of,
     optimal_coupling,
     pushforward,
     total_variation,
 )
+from qlog.measures import _order_token
 from qlog.transport import TransportError, brute_force_transport, solve_transport
 
 DISC = lambda a, b: 0.0 if a == b else 1.0
@@ -247,10 +249,26 @@ def _same_points(values):
         [(), (1,), ((),), (0.5, (1e-05, ())), (2.0, ()), ((1, 2), 3)],
         [0.0, (-0.0, 1), (-1.0, 1), (0.0, 1)],
         ["b", "a", "", "a,b", "ab"],
+        [(0.0, -0.0), (-0.0, 0.0), (float("nan"), 5e-324), (float("-inf"), 1.0),
+         (2.5e-310, -0.0, (float("inf"), -2.5e-310)), (0.0, -0.0)],
     ],
 )
 def test_support_order_matches_reference(values):
     _same_points(values)
+
+
+def test_float_tuple_keys_and_tokens_match_reference():
+    nan, inf = float("nan"), float("inf")
+    atoms = [0.0, -0.0, nan, -nan, inf, -inf, 5e-324, -5e-324, 2.5e-310, 1.0, 0.5]
+    values = [(x, y) for x in atoms for y in atoms]
+    values += [(x, (y, (x,)), ()) for x, y in zip(atoms, reversed(atoms))]
+    memo = {}  # shared, as within one canonicalisation
+    for v in values:
+        # repr tells 0.0 from -0.0, which == does not
+        assert repr(key_of(v)) == repr(_ref_key(v))
+        want = _ref_token(_ref_key(v))
+        assert _order_token(v, memo) == want
+        assert _order_token(v, {}) == want
 
 
 def test_store_support_order_matches_reference():

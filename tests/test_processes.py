@@ -206,6 +206,18 @@ def test_process_distances_pinned(fname, left, right, route, c, value, radius):
 
 
 @pytest.mark.parametrize("route", [behavioral_distance, bisimilarity_distance])
+@pytest.mark.parametrize("c", [F(1, 2), F(9, 10)])
+def test_radius_at_tol_zero_bounds_the_error(route, c):
+    # iterating until the radius underflowed once reported radius 0.0
+    # for the float value 0.19999999999999998 of the exact 1/5
+    _, ev, vals = load("coin_half.qlog")
+    d = route(ev, vals["hd"].value, vals["hde"].value, Grade(c), 0.0)
+    eps = F(1, 4)
+    assert d.radius > 0
+    assert abs(F(d.value) - c * eps / (1 - c + c * eps)) <= F(d.radius)
+
+
+@pytest.mark.parametrize("route", [behavioral_distance, bisimilarity_distance])
 def test_residual_step_mass_rejected(route):
     _, ev, vals = load("coin_half.qlog")
     hd = deref(vals["hd"].value)
