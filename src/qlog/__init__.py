@@ -17,6 +17,7 @@ from .measures import (
     convex,
     dirac,
     kantorovich,
+    lift_relation,
     optimal_coupling,
     pushforward,
     total_variation,
@@ -39,7 +40,7 @@ from .processes import behavioral_distance, bisimilarity_distance, unfold_proces
 from .td import MDP, td_contraction_check, td_step
 from .hypercube import hwalk, hypercube_contraction_check, hypercube_sigma
 from .imp import Program, Store, eval_cmd, eval_expr, parse_imp
-from .hoare import lift_relation, prp_prf_check, triple_value
+from .hoare import prp_prf_check, triple_value
 
 __all__ = [
     "Approx",

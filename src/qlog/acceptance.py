@@ -110,7 +110,7 @@ def check_transport_oracle(seed: int = 0, metrics_per_pair: int = 1):
                 if exact != oracle:
                     return ("transport-oracle", False,
                             f"rational mode mismatch: {exact} vs {oracle}")
-                fcost = [[Fraction(float(c)) for c in row] for row in cost]
+                fcost = [[float(c) for c in row] for row in cost]
                 fexact, _ = solve_transport(a, b, fcost)
                 worst_float = max(
                     worst_float, abs(float(fexact) - float(oracle))

@@ -29,13 +29,13 @@ from fractions import Fraction
 from . import acceptance
 from .evaluator import EnumSpec, EvalConfig, Evaluator
 from .grades import Grade
-from .hoare import lift_relation, triple_value
+from .hoare import triple_value
 from .hypercube import hypercube_contraction_check
 from .imp import Store, eval_cmd, parse_imp
 from .logic import check_derivation, check_semantic, judgment_from_json, load_derivation_file
 from .measures import dist_to_json
 from .parser import QlogSyntaxError, parse_file, parse_term, parse_type
-from .processes import behavioral_distance, bisimilarity_distance
+from .processes import ProcessError, behavioral_distance, bisimilarity_distance
 from .sampling import sample_envs
 from .td import random_mdp, random_vector, td_contraction_check
 from .typecheck import Checker, TypeCheckError
@@ -523,7 +523,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         return args.fn(args)
-    except (QlogSyntaxError, TypeCheckError) as e:
+    except (QlogSyntaxError, TypeCheckError, ProcessError) as e:
         print(str(e), file=sys.stderr)
         return 2
     except FileNotFoundError as e:

@@ -31,19 +31,10 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from .grades import Grade, INF, ONE, ZERO, oplus, scale_prop, wand
-from .measures import (
-    Coupling,
-    Dist,
-    convex,
-    dirac,
-    empty_subdist,
-    kantorovich,
-    optimal_coupling,
-)
+from .measures import Dist, convex, dirac, empty_subdist, lift_relation, transport
 from . import terms as T
 from .normalize import normal_form
 from .parser import parse_term, parse_type
-from .transport import solve_transport
 from .typecheck import Checker
 from .values import (
     UNIT,
@@ -282,33 +273,20 @@ class Evaluator:
     def _dist_distance(
         self, inner: T.Type, mu: Dist, nu: Dist, probes=None
     ) -> Approx:
-        """Kantorovich distance, with residual mass as an explicit
-        bottom point; approximation residuals widen the radius."""
-        BOT = ("_bottom",)
-        xs = list(mu.points)
-        ys = list(nu.points)
-        if mu.residual > 0 or nu.residual > 0:
-            xs.append((BOT, mu.residual))
-            ys.append((BOT, nu.residual))
-        radius = float(mu.residual_approx + nu.residual_approx)
+        """Kantorovich distance, with residual mass at the bottom point
+        of :func:`transport`; approximation residuals widen the radius."""
+        base = float(mu.residual_approx + nu.residual_approx)
+        radius = base
         sided = None
-        matrix: List[List[Fraction]] = []
-        for x, _ in xs:
-            row = []
-            for y, _ in ys:
-                if x is BOT and y is BOT:
-                    row.append(Fraction(0))
-                elif x is BOT or y is BOT:
-                    row.append(Fraction(1))
-                else:
-                    d = self.distance_at(inner, x, y, probes)
-                    radius = max(radius, float(mu.residual_approx + nu.residual_approx) + d.radius)
-                    sided = sided or d.sided
-                    row.append(Fraction(d.value))
-            matrix.append(row)
-        cost, _ = solve_transport(
-            [w for _, w in xs], [w for _, w in ys], matrix
-        )
+
+        def point_distance(x, y) -> float:
+            nonlocal radius, sided
+            d = self.distance_at(inner, x, y, probes)
+            radius = max(radius, base + d.radius)
+            sided = sided or d.sided
+            return d.value
+
+        cost, _ = transport(lift_relation(point_distance, "eq"), mu, nu)
         return Approx(float(cost), _cap(radius), sided)
 
     # ------------------------------------------------------------------
@@ -722,19 +700,16 @@ class Evaluator:
         worst_rad = 0.0
         sided = None
 
-        def cost(x, y) -> Fraction:
+        def cost(x, y) -> float:
             nonlocal worst_rad, sided
             env2 = dict(env)
             env2[mean_term.name] = Approx((x, y))
             out = self.eval(env2, mean_term.body)
             worst_rad = max(worst_rad, out.radius)
             sided = sided or out.sided
-            return Fraction(float(out.value))
+            return float(out.value)
 
-        supplies = [w for _, w in mu.points]
-        demands = [w for _, w in nu.points]
-        matrix = [[cost(x, y) for y, _ in nu.points] for x, _ in mu.points]
-        opt, _ = solve_transport(supplies, demands, matrix)
+        opt, _ = transport(cost, mu, nu)
         radius = _cap(worst_rad + mu_a.radius + nu_a.radius)
         return Approx(float(opt), radius, sided)
 

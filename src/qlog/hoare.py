@@ -48,55 +48,15 @@ from .imp import (
     eval_cmd,
     parse_imp,
 )
-from .measures import Dist, total_variation
-from .transport import solve_transport
+from .measures import Dist, lift_relation, total_variation, transport
 from .values import Approx
-
-BOT = ("_bottom",)
 
 StorePred = Callable[[Store, Store], float]
 
 
-def lift_relation(post: StorePred, mode: str) -> Callable:
-    """Extend a store relation to stores-plus-divergence."""
-    if mode not in ("eq", "leq"):
-        raise ValueError(f"unknown lifting mode {mode!r}")
-
-    def lifted(x, y) -> float:
-        xb = x is BOT
-        yb = y is BOT
-        if xb and yb:
-            return 0.0
-        if mode == "eq":
-            if xb or yb:
-                return 1.0
-            return float(post(x, y))
-        if xb:
-            return 0.0
-        if yb:
-            return 1.0
-        return float(post(x, y))
-
-    return lifted
-
-
-def _with_bottom(d: Dist) -> List[Tuple[object, Fraction]]:
-    pts = list(d.points)
-    if d.residual > 0:
-        pts.append((BOT, d.residual))
-    return pts
-
-
 def coupling_cost(post_lifted, mu: Dist, nu: Dist) -> float:
     """Exact infimum over couplings of the lifted-post mean."""
-    xs = _with_bottom(mu)
-    ys = _with_bottom(nu)
-    supplies = [w for _, w in xs]
-    demands = [w for _, w in ys]
-    costs = [
-        [Fraction(float(post_lifted(x, y))) for y, _ in ys] for x, _ in xs
-    ]
-    opt, _ = solve_transport(supplies, demands, costs)
+    opt, _ = transport(post_lifted, mu, nu)
     return float(opt)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Tuple
 
-from .measures import Coupling, Dist, kantorovich_exact
+from .measures import Coupling, Dist, transport
 
 Pos = Tuple[int, ...]
 
@@ -111,7 +111,7 @@ def hypercube_contraction_check(n: int, cap: int = 6) -> HypercubeReport:
             d = hamming(p, q)
             mu = hwalk(n, p)
             nu = hwalk(n, q)
-            opt, _ = kantorovich_exact(hamming_cost, mu, nu)
+            opt, _ = transport(hamming_cost, mu, nu)
             coup = sigma_coupling(n, p, q)
             cost = sum(
                 (w * hamming(a, b) for (a, b), w in coup.joint.points),

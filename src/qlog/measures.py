@@ -15,6 +15,11 @@ divergence residual is part of the semantics.
 Weights are exact ``Fraction``s so that canonical forms, convex
 combinations and the transport LP below are exact.
 
+Bottom rule.  :func:`transport` is the one entry point to the LP.  When
+either side has residual mass it adjoins :data:`BOTTOM` to both sides,
+each carrying that side's residual (a zero-mass row or column carries
+no flow); the costs of ``BOTTOM`` come from :func:`lift_relation`.
+
 Support order.  Points with equal :func:`key_of` keys are merged; the
 merged points are sorted by the string ``_sort_token(key_of(v))`` of
 their first-seen value, ties kept in first-seen order.  The token
@@ -320,6 +325,9 @@ def bind(mu: Dist, f: Callable[[Any], Any]) -> Any:
 # Couplings and the Kantorovich distance
 # ---------------------------------------------------------------------------
 
+# Adjoined to both sides of a transport problem that has residual mass.
+BOTTOM = ("_bottom",)
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -339,59 +347,90 @@ class Coupling:
         )
 
 
-def _transport_instance(metric, mu: Dist, nu: Dist):
-    if mu.residual != 0 or nu.residual != 0:
-        raise ValueError("transport needs full distributions; adjoin bottom first")
-    xs = mu.points
-    ys = nu.points
-    supplies = [w for _, w in xs]
-    demands = [w for _, w in ys]
-    costs = [[float(metric(x, y)) for y, _ in ys] for x, _ in xs]
-    return xs, ys, supplies, demands, costs
+def lift_relation(post: Callable[[Any, Any], float], mode: str) -> Callable:
+    """Extend a relation on points to points plus :data:`BOTTOM`.
+
+    mode "eq":  (bot, bot) costs 0, a one-sided bottom costs 1;
+    mode "leq": (bot, _) costs 0, (x, bot) costs 1.
+    """
+    if mode not in ("eq", "leq"):
+        raise ValueError(f"unknown lifting mode {mode!r}")
+
+    def lifted(x, y) -> float:
+        xb = x is BOTTOM
+        yb = y is BOTTOM
+        if xb and yb:
+            return 0.0
+        if mode == "eq":
+            if xb or yb:
+                return 1.0
+            return float(post(x, y))
+        if xb:
+            return 0.0
+        if yb:
+            return 1.0
+        return float(post(x, y))
+
+    return lifted
+
+
+def transport(
+    cost: Callable[[Any, Any], Any], mu: Dist, nu: Dist
+) -> Tuple[Fraction, List[Tuple[Tuple[Any, Any], Fraction]]]:
+    """Exact optimal transport between two (sub)distributions.
+
+    If either side has residual mass, :data:`BOTTOM` is adjoined to both
+    sides, each carrying that side's residual.  ``cost`` is called row
+    by row, ``BOTTOM`` last, and its values go to the solver as they
+    are.  Returns the exact optimum and the plan as ``((x, y), mass)``
+    pairs in the solver's flow order.
+    """
+    xs = [v for v, _ in mu.points]
+    ys = [v for v, _ in nu.points]
+    supplies = [w for _, w in mu.points]
+    demands = [w for _, w in nu.points]
+    if mu.residual_div or mu.residual_approx or nu.residual_div or nu.residual_approx:
+        xs.append(BOTTOM)
+        ys.append(BOTTOM)
+        supplies.append(mu.residual_div + mu.residual_approx)
+        demands.append(nu.residual_div + nu.residual_approx)
+    opt, flow = solve_transport(
+        supplies, demands, [[cost(x, y) for y in ys] for x in xs]
+    )
+    return opt, [((xs[i], ys[j]), q) for (i, j), q in flow.items()]
+
+
+def _require_full(mu: Dist, nu: Dist) -> None:
+    if mu.residual_div or mu.residual_approx or nu.residual_div or nu.residual_approx:
+        raise ValueError("needs full distributions; transport adjoins BOTTOM")
 
 
 def kantorovich(metric: Callable[[Any, Any], float], mu: Dist, nu: Dist) -> float:
     """Least expected point distance over all couplings of mu and nu.
 
-    ``metric`` must be 1-bounded on the union of the supports.  The
-    optimum is exact up to the float conversion at the boundary.
+    ``metric`` must be 1-bounded on the union of the supports.  Its
+    values go to the exact solver unconverted (every metric in qlog
+    returns a float), so only the returned optimum is rounded.
     """
-    xs, ys, supplies, demands, costs = _transport_instance(metric, mu, nu)
-    cost, _ = solve_transport(supplies, demands, costs)
-    return float(cost)
+    _require_full(mu, nu)
+    opt, _ = transport(metric, mu, nu)
+    return float(opt)
 
 
 def optimal_coupling(
     metric: Callable[[Any, Any], float], mu: Dist, nu: Dist
 ) -> Coupling:
     """A coupling witnessing the Kantorovich optimum."""
-    xs, ys, supplies, demands, costs = _transport_instance(metric, mu, nu)
-    _, flow = solve_transport(supplies, demands, costs)
-    pairs = [((xs[i][0], ys[j][0]), q) for (i, j), q in flow.items()]
-    return Coupling(Dist.from_pairs(pairs))
-
-
-def kantorovich_exact(
-    cost: Callable[[Any, Any], Fraction], mu: Dist, nu: Dist
-) -> Tuple[Fraction, Coupling]:
-    """Rational cross-check mode: exact costs in, exact optimum out."""
-    if mu.residual != 0 or nu.residual != 0:
-        raise ValueError("transport needs full distributions; adjoin bottom first")
-    xs, ys = mu.points, nu.points
-    supplies = [w for _, w in xs]
-    demands = [w for _, w in ys]
-    matrix = [[Fraction(cost(x, y)) for y, _ in ys] for x, _ in xs]
-    opt, flow = solve_transport(supplies, demands, matrix)
-    pairs = [((xs[i][0], ys[j][0]), q) for (i, j), q in flow.items()]
-    return opt, Coupling(Dist.from_pairs(pairs))
+    _require_full(mu, nu)
+    _, plan = transport(metric, mu, nu)
+    return Coupling(Dist.from_pairs(plan))
 
 
 def kantorovich_oracle(
     cost: Callable[[Any, Any], Fraction], mu: Dist, nu: Dist
 ) -> Fraction:
     """Vertex-enumeration oracle for the same optimum (small instances)."""
-    if mu.residual != 0 or nu.residual != 0:
-        raise ValueError("transport needs full distributions")
+    _require_full(mu, nu)
     xs, ys = mu.points, nu.points
     supplies = [w for _, w in xs]
     demands = [w for _, w in ys]

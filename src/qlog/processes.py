@@ -190,8 +190,9 @@ def bisimilarity_distance(evaluator, p: Any, q: Any, c: Grade, tol: float) -> Ap
     Defined only for contractive discounts; computed as the guarded
     fixed point of `label mismatch (+) c * (cheapest coupling of the
     step measures w.r.t. the current relation)`, which is the same
-    functional as the behavioral distance, so their agreement is a
-    meaningful cross-check of the two code paths.
+    functional as the behavioral distance.  Their agreement is therefore
+    a consistency check between two code paths, not a comparison with
+    an independent algorithm.
     """
     if not c < Grade(1):
         raise ProcessError(f"bisimilarity distance needs discount < 1, got {c}")

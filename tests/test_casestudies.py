@@ -14,7 +14,7 @@ from qlog.hypercube import (
     hypercube_sigma,
     sigma_coupling,
 )
-from qlog.measures import Dist, dirac, kantorovich, kantorovich_exact
+from qlog.measures import Dist, dirac, kantorovich
 from qlog.td import (
     MDP,
     _paired_step,

@@ -265,3 +265,13 @@ def test_casestudy_td_keeps_valid_alpha_gamma():
     blob = json.loads(out)
     assert code == 0 and blob["status"] == "ok"
     assert blob["k"] == float(Fraction(47, 50))  # 1 - alpha + gamma * alpha
+
+
+def test_bisimilarity_at_discount_one_is_a_usage_error(capsys):
+    code, out = run_cli(
+        "distance", corpus("markov.qlog"), "--left", "m", "--right", "n",
+        "--proc", "--bisim",
+    )
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == "bisimilarity distance needs discount < 1, got 1\n"

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import corpus
 from qlog.hoare import (
-    BOT,
     check_nth_unused,
     coupling_cost,
     eps_credit,
@@ -25,7 +24,7 @@ from qlog.imp import (
     eval_expr,
     parse_imp,
 )
-from qlog.measures import Dist, dirac, kantorovich, total_variation
+from qlog.measures import BOTTOM, Dist, dirac, kantorovich, total_variation
 
 
 def prog_of(src):
@@ -96,9 +95,9 @@ def test_lifting_tables():
     eq = lift_relation(phi, "eq")
     le = lift_relation(phi, "leq")
     s = Store.of({"l": 0})
-    assert eq(BOT, BOT) == 0.0 and le(BOT, BOT) == 0.0
-    assert eq(BOT, s) == 1.0 and le(BOT, s) == 0.0
-    assert eq(s, BOT) == 1.0 and le(s, BOT) == 1.0
+    assert eq(BOTTOM, BOTTOM) == 0.0 and le(BOTTOM, BOTTOM) == 0.0
+    assert eq(BOTTOM, s) == 1.0 and le(BOTTOM, s) == 0.0
+    assert eq(s, BOTTOM) == 1.0 and le(s, BOTTOM) == 1.0
     assert eq(s, s) == 0.0 and le(s, s) == 0.0
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from qlog.measures import (
+    BOTTOM,
     Coupling,
     Dist,
     bind,
@@ -14,12 +15,13 @@ from qlog.measures import (
     dist_from_json,
     dist_to_json,
     kantorovich,
-    kantorovich_exact,
     kantorovich_oracle,
     key_of,
+    lift_relation,
     optimal_coupling,
     pushforward,
     total_variation,
+    transport,
 )
 from qlog.measures import _order_token
 from qlog.transport import TransportError, brute_force_transport, solve_transport
@@ -149,7 +151,8 @@ def test_lp_equals_vertex_enumeration_exactly():
     for _ in range(120):
         mu, nu = _rand_dist(rng), _rand_dist(rng)
         cost = lambda a, b: F(abs(a - b), 4)
-        exact, witness = kantorovich_exact(cost, mu, nu)
+        exact, plan = transport(cost, mu, nu)
+        witness = Coupling(Dist.from_pairs(plan))
         oracle = kantorovich_oracle(cost, mu, nu)
         assert exact == oracle
         assert witness.left() == mu and witness.right() == nu
@@ -334,3 +337,150 @@ def test_support_order_property():
         _same_points(vs)
 
     check()
+
+
+# -- transport on subdistributions --------------------------------------------
+# Test-local copies of the instances the evaluator and the hoare module built
+# by hand before both went through ``transport``.
+
+_REF_BOT = ("_bottom",)
+
+
+def _ref_dist_distance(point_distance, mu, nu):
+    """The evaluator's instance: bottom adjoined to both sides, Fraction costs."""
+    xs, ys = list(mu.points), list(nu.points)
+    if mu.residual > 0 or nu.residual > 0:
+        xs.append((_REF_BOT, mu.residual))
+        ys.append((_REF_BOT, nu.residual))
+    matrix = []
+    for x, _ in xs:
+        row = []
+        for y, _ in ys:
+            if x is _REF_BOT and y is _REF_BOT:
+                row.append(F(0))
+            elif x is _REF_BOT or y is _REF_BOT:
+                row.append(F(1))
+            else:
+                row.append(F(point_distance(x, y)))
+        matrix.append(row)
+    opt, flow = solve_transport([w for _, w in xs], [w for _, w in ys], matrix)
+    return opt, [((xs[i][0], ys[j][0]), q) for (i, j), q in flow.items()]
+
+
+def _ref_lift(post, mode):
+    def lifted(x, y):
+        xb, yb = x is _REF_BOT, y is _REF_BOT
+        if xb and yb:
+            return 0.0
+        if mode == "eq":
+            return 1.0 if xb or yb else float(post(x, y))
+        if xb:
+            return 0.0
+        return 1.0 if yb else float(post(x, y))
+
+    return lifted
+
+
+def _ref_with_bottom(d):
+    pts = list(d.points)
+    if d.residual > 0:
+        pts.append((_REF_BOT, d.residual))
+    return pts
+
+
+def _ref_coupling_cost(post_lifted, mu, nu):
+    """The hoare instance: bottom adjoined per side, Fraction(float) costs."""
+    xs, ys = _ref_with_bottom(mu), _ref_with_bottom(nu)
+    costs = [[F(float(post_lifted(x, y))) for y, _ in ys] for x, _ in xs]
+    opt, flow = solve_transport([w for _, w in xs], [w for _, w in ys], costs)
+    return opt, [((xs[i][0], ys[j][0]), q) for (i, j), q in flow.items()]
+
+
+def _rand_subdist(rng, div, approx, den=8):
+    """Up to 5 grid weights on points 0..4; one of them becomes divergence
+    residual if ``div``, another approximation residual if ``approx``."""
+    cuts = sorted(rng.randrange(0, den + 1) for _ in range(4))
+    parts = [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+    rd = parts.pop() if div else F(0)
+    ra = parts.pop() if approx else F(0)
+    pairs = [(rng.randrange(0, 5), w) for w in parts]
+    return Dist.from_pairs(pairs, residual_div=rd, residual_approx=ra)
+
+
+def _rand_float_metric(rng):
+    table = {}
+    for a in range(5):
+        for b in range(a, 5):
+            d = 0.0 if a == b else rng.choice([0.25, 1.0, rng.random()])
+            table[a, b] = table[b, a] = d
+    return lambda a, b: table[a, b]
+
+
+_RESIDUAL_KINDS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def _subdist_pairs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        left = rng.choice(_RESIDUAL_KINDS)
+        right = rng.choice(_RESIDUAL_KINDS)
+        yield (
+            _rand_float_metric(rng),
+            _rand_subdist(rng, *left),
+            _rand_subdist(rng, *right),
+        )
+
+
+def test_transport_matches_evaluator_instance():
+    sides = set()
+    for metric, mu, nu in _subdist_pairs(21, 300):
+        sides.add((mu.residual > 0, nu.residual > 0))
+        got = transport(lift_relation(metric, "eq"), mu, nu)
+        assert got == _ref_dist_distance(metric, mu, nu)
+        assert type(got[0]) is F
+    assert sides == {(False, False), (True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("mode", ["eq", "leq"])
+def test_transport_matches_hoare_instance(mode):
+    for metric, mu, nu in _subdist_pairs(22, 300):
+        got = transport(lift_relation(metric, mode), mu, nu)
+        assert got == _ref_coupling_cost(_ref_lift(metric, mode), mu, nu)
+
+
+def test_transport_on_all_residual_sides():
+    div, approx = Dist((), F(1), F(0)), Dist((), F(0), F(1))
+    eq = lift_relation(DISC, "eq")
+    assert transport(eq, div, approx) == (F(0), [((BOTTOM, BOTTOM), F(1))])
+    assert transport(eq, div, MU) == _ref_dist_distance(DISC, div, MU)
+    assert transport(eq, div, MU)[0] == 1
+    assert transport(lift_relation(DISC, "leq"), div, MU)[0] == 0
+
+
+def test_transport_calls_cost_row_major_bottom_last():
+    for metric, mu, nu in _subdist_pairs(23, 60):
+        calls = []
+
+        def cost(x, y):
+            calls.append((x, y))
+            return lift_relation(metric, "eq")(x, y)
+
+        transport(cost, mu, nu)
+        xs, ys = mu.support(), nu.support()
+        if mu.residual or nu.residual:
+            xs, ys = xs + [BOTTOM], ys + [BOTTOM]
+        assert calls == [(x, y) for x in xs for y in ys]
+        if mu.residual or nu.residual:
+            assert calls[-1][0] is BOTTOM and calls[-1][1] is BOTTOM
+
+
+@pytest.mark.parametrize(
+    "residual", [dict(residual_div=F(1, 4)), dict(residual_approx=F(1, 4))]
+)
+def test_full_distribution_routes_reject_residual_mass(residual):
+    sub = Dist.from_pairs([(0, F(3, 4))], **residual)
+    for mu, nu in ((sub, MU), (MU, sub)):
+        with pytest.raises(ValueError):
+            kantorovich(DISC, mu, nu)
+        with pytest.raises(ValueError):
+            optimal_coupling(DISC, mu, nu)
