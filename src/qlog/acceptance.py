@@ -12,7 +12,7 @@ import os
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List
 
 from .evaluator import EnumSpec, EvalConfig, Evaluator
 from .grades import Grade
@@ -20,7 +20,7 @@ from .hoare import prp_prf_check, triple_value
 from .hypercube import hypercube_contraction_check
 from .imp import eval_cmd, parse_imp
 from .logic import check_derivation, check_semantic, load_derivation_file, RULES
-from .measures import Dist, kantorovich
+from .measures import kantorovich
 from .parser import parse_file, parse_term, parse_type
 from .processes import behavioral_distance, bisimilarity_distance
 from .sampling import sample_envs, sample_value

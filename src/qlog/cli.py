@@ -31,15 +31,14 @@ from .evaluator import EnumSpec, EvalConfig, Evaluator
 from .grades import Grade
 from .hoare import triple_value
 from .hypercube import hypercube_contraction_check
-from .imp import Store, eval_cmd, parse_imp
+from .imp import ImpError, Store, parse_imp
 from .logic import check_derivation, check_semantic, judgment_from_json, load_derivation_file
-from .measures import dist_to_json
-from .parser import QlogSyntaxError, parse_file, parse_term, parse_type
+from .parser import QlogSyntaxError, parse_file, parse_type
 from .processes import ProcessError, behavioral_distance, bisimilarity_distance
 from .sampling import sample_envs
 from .td import random_mdp, random_vector, td_contraction_check
 from .typecheck import Checker, TypeCheckError
-from .values import Approx, deref, value_to_json
+from .values import Approx, value_to_json
 
 SCHEMA = "qlog/1"
 
@@ -318,8 +317,13 @@ def parse_store_pred(src: str):
             lhs = (lambda a, b, l=l, r=rhs: max(l(a, b), r(a, b)))
         return lhs, i
 
+    def tok(i):
+        if i >= len(toks):
+            raise ValueError("predicate ends too early")
+        return toks[i]
+
     def atom(i):
-        kind, val = toks[i]
+        kind, val = tok(i)
         if kind == "num":
             return (lambda a, b, v=val: v), i + 1
         if kind == "read":
@@ -327,28 +331,30 @@ def parse_store_pred(src: str):
 
             def read(a, b, side=side, loc=loc):
                 store = a if side == "s" else b
-                try:
+                if loc in store.slots:
                     return store.get(loc)
-                except Exception:
-                    return store.array(loc)
+                arr = store.array(loc)
+                if not arr:
+                    raise ValueError(
+                        f"{side}.{loc} is neither a location nor an array of the store"
+                    )
+                return arr
 
             return read, i + 1
         if val == "(":
-            f, i = parse_or(i + 1)
-            assert toks[i] == ("op", ")")
-            return f, i + 1
+            return group(i)
         raise ValueError(f"bad predicate atom {val!r}")
 
     def parse_cmp(i):
-        kind, val = toks[i]
+        kind, val = tok(i)
         if kind == "op" and val == "tt":
             return (lambda a, b: 0.0), i + 1
         if kind == "op" and val == "ff":
             return (lambda a, b: 1.0), i + 1
         if kind == "op" and val == "(":
-            return atom_or_group(i)
+            return group(i)
         lhs, i = atom(i)
-        op = toks[i][1]
+        op = tok(i)[1]
         rhs, i = atom(i + 1)
         if op == "==":
             return (lambda a, b, l=lhs, r=rhs: 0.0 if l(a, b) == r(a, b) else 1.0), i
@@ -356,11 +362,12 @@ def parse_store_pred(src: str):
             return (lambda a, b, l=lhs, r=rhs: 0.0 if l(a, b) <= r(a, b) else 1.0), i
         raise ValueError(f"bad comparison {op!r}")
 
-    def atom_or_group(i):
+    def group(i):
         # a parenthesised boolean group
-        f, j = parse_or(i + 1)
-        assert toks[j] == ("op", ")")
-        return f, j + 1
+        f, i = parse_or(i + 1)
+        if tok(i) != ("op", ")"):
+            raise ValueError("predicate is missing a ')'")
+        return f, i + 1
 
     f, i = parse_or(0)
     if i != len(toks):
@@ -369,6 +376,8 @@ def parse_store_pred(src: str):
 
 
 def _store_from_json(prog, obj: dict) -> Store:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a store is a JSON object, got {obj!r}")
     s = prog.initial_store()
     for k, v in obj.items():
         if isinstance(v, list):
@@ -380,23 +389,36 @@ def _store_from_json(prog, obj: dict) -> Store:
 
 
 def cmd_hoare(args) -> int:
-    with open(args.left) as fh:
-        left = parse_imp(fh.read())
-    with open(args.right) as fh:
-        right = parse_imp(fh.read())
-    pre = parse_store_pred(args.pre)
-    post = parse_store_pred(args.post)
+    progs = []
+    for path in (args.left, args.right):
+        with open(path) as fh:
+            try:
+                progs.append(parse_imp(fh.read()))
+            except ImpError as e:
+                return _usage_error(f"{path}: {e}")
+    left, right = progs
+    pairs = [(left.initial_store(), right.initial_store())]
     if args.stores:
         with open(args.stores) as fh:
-            spec = json.load(fh)
-        pairs = [
-            (_store_from_json(left, a), _store_from_json(right, b))
-            for a, b in spec["pairs"]
-        ]
-    else:
-        pairs = [(left.initial_store(), right.initial_store())]
+            try:
+                pairs = [
+                    (_store_from_json(left, a), _store_from_json(right, b))
+                    for a, b in json.load(fh)["pairs"]
+                ]
+            except (ValueError, TypeError, KeyError) as e:
+                return _usage_error(f"{args.stores}: bad stores entry: {e}")
+    preds = []
+    for flag, text in (("--pre", args.pre), ("--post", args.post)):
+        # every store a triple reads has its program's layout, so one
+        # read on each input pair finds every undeclared name
+        try:
+            preds.append(parse_store_pred(text))
+            for s, s2 in pairs:
+                preds[-1](s, s2)
+        except (ValueError, TypeError) as e:
+            return _usage_error(f"{flag}: {e}")
     res = triple_value(
-        left, left.body, right, right.body, pre, post, args.mode, pairs,
+        left, left.body, right, right.body, *preds, args.mode, pairs,
         max_iter=args.max_iter, tol=args.tol,
     )
     ok = res.value <= args.credit + 1e-12
@@ -523,7 +545,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         return args.fn(args)
-    except (QlogSyntaxError, TypeCheckError, ProcessError) as e:
+    except (QlogSyntaxError, TypeCheckError, ProcessError, ImpError) as e:
         print(str(e), file=sys.stderr)
         return 2
     except FileNotFoundError as e:

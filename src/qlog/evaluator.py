@@ -25,16 +25,15 @@ coupling goals are special-cased to an exact transport LP.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
-from .grades import Grade, INF, ONE, ZERO, oplus, scale_prop, wand
+from .grades import Grade, ONE, ZERO, oplus, scale_prop, wand
 from .measures import Dist, convex, dirac, empty_subdist, lift_relation, transport
 from . import terms as T
 from .normalize import normal_form
-from .parser import parse_term, parse_type
+from .parser import parse_term
 from .typecheck import Checker
 from .values import (
     UNIT,
@@ -45,7 +44,6 @@ from .values import (
     VProc,
     VRef,
     VThunk,
-    VUnit,
     deref,
 )
 
@@ -81,10 +79,6 @@ class EnumSpec:
     """
 
     entries: Dict[str, dict] = field(default_factory=dict)
-
-    @staticmethod
-    def from_json(text: str) -> "EnumSpec":
-        return EnumSpec(json.loads(text))
 
     def lookup(self, ty: T.Type) -> Optional[dict]:
         return self.entries.get(str(ty))

@@ -152,19 +152,6 @@ INF = Grade(None)
 # ---------------------------------------------------------------------------
 
 
-def clamp01(x: float) -> float:
-    """Clamp a float into [0, 1]; tiny numeric drift is tolerated."""
-    if x < 0.0:
-        if x < -TOL * 10:
-            raise ValueError(f"truth value {x} out of range")
-        return 0.0
-    if x > 1.0:
-        if x > 1.0 + TOL * 10:
-            raise ValueError(f"truth value {x} out of range")
-        return 1.0
-    return x
-
-
 def oplus(a: float, b: float) -> float:
     """Truncated sum min{a + b, 1}: the tensor of the truth quantale."""
     return min(a + b, 1.0)

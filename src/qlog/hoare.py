@@ -28,15 +28,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .grades import oplus, wand
+from .grades import wand
 from .imp import (
     CAssign,
     CNthUnused,
     CSample,
     CSeq,
-    CSkip,
     CWhile,
     Cmd,
     EBin,
@@ -46,10 +45,8 @@ from .imp import (
     Program,
     Store,
     eval_cmd,
-    parse_imp,
 )
 from .measures import Dist, lift_relation, total_variation, transport
-from .values import Approx
 
 StorePred = Callable[[Store, Store], float]
 
@@ -193,15 +190,18 @@ def check_nth_unused(length: int, n: int) -> bool:
     (f, i0) the map k -> val is injective into the unused values."""
     prog, _ = make_programs(length, n, length)
     cmd = CNthUnused("arr", "i", "tmp", "val")
+    blank = prog.initial_store()
     for fvals in itertools.product(range(n), repeat=length):
+        filled = blank
+        for slot, v in enumerate(fvals):
+            filled = filled.set(("arr", slot), v)
         for i0 in range(length):
             used = set(fvals[:i0])
             unused = [v for v in range(n) if v not in used]
             seen = set()
+            at_i0 = filled.set("i", i0)
             for k in range(n - len(used)):
-                s = prog.initial_store().set("i", i0).set("tmp", k)
-                for slot, v in enumerate(fvals):
-                    s = s.set(("arr", slot), v)
+                s = at_i0.set("tmp", k)
                 out = eval_cmd(prog, cmd, s)
                 (final, w), = out.points
                 val = final.get("val")

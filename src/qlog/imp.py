@@ -14,6 +14,12 @@ changes nothing the chain has hit its fixed point and the residual is
 genuine divergence; otherwise it is truncation and is flagged as
 approximation (entering error radii downstream).
 
+Commands are linear maps on measures (Kozen, *Semantics of
+Probabilistic Programs*, JCSS 1981) and weights are exact, so no
+intermediate order can change a weight or the final order: commands
+run on unordered store -> weight maps, merged on store equality (the
+equivalence of ``key_of``), and :func:`eval_cmd` canonicalises once.
+
 Surface syntax (.imp files)::
 
     locs i val tmp
@@ -33,10 +39,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import count, islice
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
-from .measures import Dist, dirac
+from .measures import Dist
 
 
 class ImpError(ValueError):
@@ -53,33 +60,35 @@ class Store:
     """Total assignment of naturals to the declared locations.
 
     Array slots are addressed as ("arr", index).  Immutable and usable
-    as a distribution support point.
+    as a distribution support point.  ``slots`` maps each location to
+    its index in ``items``, built once per layout and shared by every
+    store :meth:`set` derives; equality, hashing and ``repr`` ignore it.
     """
 
     items: Tuple[Tuple[Union[str, Tuple[str, int]], int], ...]
+    slots: Dict = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.slots is None:
+            slots = {k: i for i, (k, _) in enumerate(self.items)}
+            object.__setattr__(self, "slots", slots)
 
     @staticmethod
     def of(mapping: Dict) -> "Store":
         return Store(tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0]))))
 
     def get(self, key) -> int:
-        for k, v in self.items:
-            if k == key:
-                return v
-        raise ImpError(f"undeclared location {key}")
+        i = self.slots.get(key)
+        if i is None:
+            raise ImpError(f"undeclared location {key}")
+        return self.items[i][1]
 
     def set(self, key, value: int) -> "Store":
-        found = False
-        out = []
-        for k, v in self.items:
-            if k == key:
-                out.append((k, value))
-                found = True
-            else:
-                out.append((k, v))
-        if not found:
+        i = self.slots.get(key)
+        if i is None:
             raise ImpError(f"undeclared location {key}")
-        return Store(tuple(out))
+        items = self.items
+        return Store(items[:i] + ((items[i][0], value),) + items[i + 1 :], self.slots)
 
     def array(self, name: str) -> Tuple[int, ...]:
         slots = sorted(
@@ -308,14 +317,8 @@ def _nth_unused(store: Store, prog: Program, c: CNthUnused) -> Store:
     i = store.get(c.i_loc)
     k = store.get(c.tmp_loc)
     used = {store.get((c.array, j)) for j in range(min(i, prog.arrays[c.array]))}
-    v = 0
-    seen = 0
-    while True:
-        if v not in used:
-            if seen == k:
-                return store.set(c.val_loc, v)
-            seen += 1
-        v += 1
+    unused = (v for v in count() if v not in used)
+    return store.set(c.val_loc, next(islice(unused, k, None)))
 
 
 def eval_cmd(
@@ -332,8 +335,19 @@ def eval_cmd(
     residual (divergence when the chain provably stalled, otherwise
     approximation).
     """
+    out, rdiv, rapp = _run(prog, c, store, max_iter, tol, support_cap)
+    return Dist.from_pairs(out.items(), residual_div=rdiv, residual_approx=rapp)
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _run(prog: Program, c: Cmd, store: Store, max_iter, tol, support_cap):
+    """``c`` run from ``store`` as (store -> weight, divergent residual,
+    approximation residual), the weights merged but not ordered."""
     if isinstance(c, CSkip):
-        return dirac(store)
+        return {store: _ONE}, _ZERO, _ZERO
     if isinstance(c, CAssign):
         if isinstance(c.target, tuple):
             name, idx_e = c.target
@@ -344,85 +358,70 @@ def eval_cmd(
             key = (name, idx)
         else:
             key = c.target
-        return dirac(store.set(key, eval_expr(prog, store, c.expr)))
+        return {store.set(key, eval_expr(prog, store, c.expr)): _ONE}, _ZERO, _ZERO
     if isinstance(c, CSample):
         d = eval_expr(prog, store, c.dist)
         if not isinstance(d, Dist):
             raise ImpError("sampling from a non-distribution")
-        return Dist.from_pairs([(store.set(c.loc, v), w) for v, w in d.points])
+        return {store.set(c.loc, v): w for v, w in d.points}, _ZERO, _ZERO
     if isinstance(c, CSeq):
-        first = eval_cmd(prog, c.first, store, max_iter, tol, support_cap)
-        return _bind_stores(
-            prog, first, lambda s: eval_cmd(prog, c.second, s, max_iter, tol, support_cap)
-        )
+        first = _run(prog, c.first, store, max_iter, tol, support_cap)
+        return _run_from(prog, c.second, *first, max_iter, tol, support_cap)
     if isinstance(c, CIf):
-        if eval_expr(prog, store, c.guard):
-            return eval_cmd(prog, c.then, store, max_iter, tol, support_cap)
-        return eval_cmd(prog, c.other, store, max_iter, tol, support_cap)
+        branch = c.then if eval_expr(prog, store, c.guard) else c.other
+        return _run(prog, branch, store, max_iter, tol, support_cap)
     if isinstance(c, CWhile):
         return _eval_while(prog, c, store, max_iter, tol, support_cap)
     if isinstance(c, CNthUnused):
-        return dirac(_nth_unused(store, prog, c))
+        return {_nth_unused(store, prog, c): _ONE}, _ZERO, _ZERO
     raise ImpError(f"cannot run {c!r}")
 
 
-def _bind_stores(prog: Program, d: Dist, f) -> Dist:
-    pairs: List[Tuple[Store, Fraction]] = []
-    rdiv = d.residual_div
-    rapp = d.residual_approx
-    for s, w in d.points:
-        out = f(s)
-        pairs.extend((s2, w * w2) for s2, w2 in out.points)
-        rdiv += w * out.residual_div
-        rapp += w * out.residual_approx
-    return Dist.from_pairs(pairs, residual_div=rdiv, residual_approx=rapp)
+def _run_from(prog, c: Cmd, stores: Dict, rdiv, rapp, max_iter, tol, support_cap):
+    """``c`` run from each of the weighted ``stores`` and mixed, on top
+    of the residuals ``rdiv`` and ``rapp``; the same triple as :func:`_run`."""
+    out: Dict[Store, Fraction] = {}
+    for s, w in stores.items():
+        mid, mdiv, mapp = _run(prog, c, s, max_iter, tol, support_cap)
+        for s2, w2 in mid.items():
+            w2 *= w
+            out[s2] = out[s2] + w2 if s2 in out else w2
+        if mdiv:
+            rdiv += w * mdiv
+        if mapp:
+            rapp += w * mapp
+    return out, rdiv, rapp
 
 
-def _eval_while(prog, c: CWhile, store: Store, max_iter, tol, support_cap) -> Dist:
+def _eval_while(prog, c: CWhile, store: Store, max_iter, tol, support_cap):
     done: Dict = {}
-    done_div = Fraction(0)
-    active: Dict = {store: Fraction(1)}
 
     def sweep(act: Dict) -> Dict:
         live = {}
         for s, w in act.items():
             if eval_expr(prog, store=s, e=c.guard):
-                live[s] = live.get(s, Fraction(0)) + w
+                live[s] = w
             else:
-                done[s] = done.get(s, Fraction(0)) + w
+                done[s] = done[s] + w if s in done else w
         return live
 
-    active = sweep(active)
-    stalled = False
-    body_approx = Fraction(0)
+    active = sweep({store: _ONE})
+    done_div = body_approx = _ZERO
     for _ in range(max_iter):
-        if not active:
-            break
-        nxt: Dict = {}
-        for s, w in active.items():
-            out = eval_cmd(prog, c.body, s, max_iter, tol, support_cap)
-            done_div += w * out.residual_div
-            body_approx += w * out.residual_approx
-            for s2, w2 in out.points:
-                nxt[s2] = nxt.get(s2, Fraction(0)) + w * w2
-        before = dict(active)
-        active = sweep(nxt)
+        nxt, done_div, body_approx = _run_from(
+            prog, c.body, active, done_div, body_approx, max_iter, tol, support_cap
+        )
+        before, active = active, sweep(nxt)
         if len(done) + len(active) > support_cap:
             raise ImpError("store support blow-up in while loop")
         if active == before:
-            stalled = True  # chain hit its fixed point: mass provably diverges
+            # chain hit its fixed point: the live mass provably diverges
+            done_div += sum(active.values(), _ZERO)
+            active = {}
             break
-        if float(sum(active.values(), Fraction(0))) <= tol:
+        if float(sum(active.values(), _ZERO)) <= tol:
             break
-    live_mass = sum(active.values(), Fraction(0))
-    if stalled:
-        done_div += live_mass
-        live_mass = Fraction(0)
-    return Dist.from_pairs(
-        list(done.items()),
-        residual_div=done_div,
-        residual_approx=live_mass + body_approx,
-    )
+    return done, done_div, sum(active.values(), _ZERO) + body_approx
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +446,7 @@ def _tokenize_imp(src: str) -> List[Tuple[str, str]]:
         pos = m.end()
         if m.lastgroup == "comment" or m.group(0).strip() == "":
             continue
-        if m.group("num"):
-            toks.append(("num", m.group("num")))
-        elif m.group("id"):
-            toks.append(("id", m.group("id")))
-        elif m.group("op"):
-            toks.append(("op", m.group("op")))
+        toks.append((m.lastgroup, m.group(m.lastgroup)))
     return toks
 
 
@@ -512,7 +506,10 @@ class ImpParser:
             else:
                 name = self.next()[1]
                 self.expect("[")
-                size = int(self.next()[1])
+                kind, size = self.next()
+                if kind != "num":
+                    raise ImpError(f"array size must be a number, got {size!r}")
+                size = int(size)
                 self.expect("]")
                 arrays[name] = size
         body = self.command()

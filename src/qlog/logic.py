@@ -30,9 +30,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .grades import Grade, INF, ONE, ZERO, oplus
 from .measures import Coupling, Dist, kantorovich
 from . import terms as T
-from .normalize import judgmental_equal, normal_form, unfold_fixes
+from .normalize import judgmental_equal, normal_form
 from .parser import QlogFile, parse_term, parse_type
-from .printer import print_term
 from .typecheck import Checker, TypeCheckError
 from .values import Approx
 from .evaluator import Evaluator

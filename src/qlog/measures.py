@@ -22,8 +22,9 @@ no flow); the costs of ``BOTTOM`` come from :func:`lift_relation`.
 
 Support order.  Points with equal :func:`key_of` keys are merged; the
 merged points are sorted by the string ``_sort_token(key_of(v))`` of
-their first-seen value, ties kept in first-seen order.  The token
-spells the key structurally: a tuple is ``"("`` + its components'
+their first-seen value, ties kept in first-seen order.  A merged
+support of fewer than 2 points has one order and builds no token.  The
+token spells the key structurally: a tuple is ``"("`` + its components'
 tokens joined by ``","`` + ``")"``, a non-bool int is zero-padded to 24
 places, anything else is its ``repr``.  Floats therefore sort by their
 ``repr`` (``0.5`` before ``10.0`` before ``1e-05`` before ``2.0``), not
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Tuple, Union
 
 from .grades import Grade
 from .transport import brute_force_transport, solve_transport
@@ -194,9 +195,11 @@ class Dist:
             else:
                 entry[1] += w
         entries = list(merged.values())
-        floats: Dict[float, str] = {}
-        tokens = [_order_token(v, floats) for v, _ in entries]
-        order = sorted(range(len(entries)), key=tokens.__getitem__)
+        order = range(len(entries))
+        if len(entries) > 1:
+            floats: Dict[float, str] = {}
+            tokens = [_order_token(v, floats) for v, _ in entries]
+            order = sorted(order, key=tokens.__getitem__)
         pts = tuple([(entries[i][0], entries[i][1]) for i in order])
         d = Dist(pts, _as_weight(residual_div), _as_weight(residual_approx))
         total = d.mass + d.residual_div + d.residual_approx
@@ -331,7 +334,11 @@ BOTTOM = ("_bottom",)
 
 @dataclass(frozen=True)
 class Coupling:
-    """Joint distribution over pairs with cached marginals."""
+    """Joint distribution over pairs.
+
+    :meth:`left` and :meth:`right` push the joint forward to a marginal
+    afresh on every call; nothing is cached.
+    """
 
     joint: Dist  # support values are 2-tuples (x, y)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .grades import Grade, ONE
+from .grades import ONE
 from . import terms as T
 
 

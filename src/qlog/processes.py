@@ -22,7 +22,7 @@ contracting, and the iteration reports failure when it does not.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .grades import Grade
 from .measures import Dist, kantorovich

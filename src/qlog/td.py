@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .measures import Dist, dirac, kantorovich, key_of
-from .grades import TOL
 
 
 @dataclass

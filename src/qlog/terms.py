@@ -12,11 +12,11 @@ binder numbering; substitution is capture-avoiding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .grades import Grade, INF, ONE, ZERO
+from .grades import Grade, INF, ONE
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +589,6 @@ class TypeCtx:
         for n, g, _ in self.bindings:
             if n == name:
                 return g
-        raise KeyError(name)
-
-    def type_of(self, name: str) -> Type:
-        for n, _, ty in self.bindings:
-            if n == name:
-                return ty
         raise KeyError(name)
 
     def types(self) -> Dict[str, Type]:

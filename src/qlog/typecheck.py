@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .grades import Grade, INF, ONE, ZERO

@@ -275,3 +275,58 @@ def test_bisimilarity_at_discount_one_is_a_usage_error(capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err == "bisimilarity distance needs discount < 1, got 1\n"
+
+
+SKIP_IMP = corpus("imp", "skip.imp")
+
+
+@pytest.mark.parametrize(
+    "body, pre, stores, where, message",
+    [
+        ("locs l\nl := ;\n", "tt", None, "bad.imp", "expected an expression"),
+        ("locs l\nm := 3\n", "tt", None, "bad.imp", "undeclared location m"),
+        ("locs l\narray a[x]\nskip\n", "tt", None, "bad.imp",
+         "array size must be a number, got 'x'"),
+        ("locs l\narray a[2]\na[5] := 1\n", "tt", None, "a[5]",
+         "out of bounds (size 2)"),
+        ("locs l\nskip\n", "s.l ==", None, "--pre", "predicate ends too early"),
+        ("locs l\nskip\n", "(s.l == 0", None, "--pre", "predicate ends too early"),
+        ("locs l\nskip\n", "(s.l == 0 tt", None, "--pre", "missing a ')'"),
+        ("locs l\nskip\n", "tt", '{"pairs": [[{"zz": 0}, {"l": 0}]]}',
+         "stores.json", "undeclared location zz"),
+        ("locs l\nskip\n", "tt", '{"pairs": [[1, {"l": 0}]]}',
+         "stores.json", "a store is a JSON object"),
+    ],
+)
+def test_hoare_malformed_input_is_a_usage_error(
+    tmp_path, capsys, body, pre, stores, where, message
+):
+    left = tmp_path / "bad.imp"
+    left.write_text(body)
+    argv = ["hoare", "--left", str(left), "--right", SKIP_IMP,
+            "--pre", pre, "--post", "tt"]
+    if stores is not None:
+        (tmp_path / "stores.json").write_text(stores)
+        argv += ["--stores", str(tmp_path / "stores.json")]
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert where in err and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "pre, post, message",
+    [
+        ("s.zz == 0", "tt", "--pre: s.zz is neither a location nor an array"),
+        ("tt", "t.zz == 0", "--post: t.zz is neither a location nor an array"),
+    ],
+)
+def test_hoare_undeclared_predicate_location_is_rejected(pre, post, message, capsys):
+    # s.zz used to read as the empty array, so the triple held vacuously
+    code, out = run_cli(
+        "hoare", "--left", SKIP_IMP, "--right", SKIP_IMP,
+        "--pre", pre, "--post", post,
+    )
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == message + " of the store\n"

@@ -251,3 +251,214 @@ def test_parse_errors():
         parse_imp("locs l\nwhile 3 { skip }")  # non-boolean guard
     with pytest.raises(ImpError):
         parse_imp("locs l\nm := 3")  # undeclared location
+
+
+# -- unordered store maps: the same Dist as canonicalising every step ---------
+# A test-local copy of the evaluator that built a canonical ``Dist`` after
+# every command, bind and loop round.
+
+
+def _ref_nth_unused(store, prog, c):
+    i = store.get(c.i_loc)
+    k = store.get(c.tmp_loc)
+    used = {store.get((c.array, j)) for j in range(min(i, prog.arrays[c.array]))}
+    v = seen = 0
+    while True:
+        if v not in used:
+            if seen == k:
+                return store.set(c.val_loc, v)
+            seen += 1
+        v += 1
+
+
+def _ref_eval(prog, c, store, max_iter=64, tol=0.0, support_cap=100000):
+    from qlog.imp import CAssign, CIf, CNthUnused, CSample, CSeq, CSkip
+
+    def run(cmd, s):
+        return _ref_eval(prog, cmd, s, max_iter, tol, support_cap)
+
+    if isinstance(c, CSkip):
+        return dirac(store)
+    if isinstance(c, CAssign):
+        if isinstance(c.target, tuple):
+            name, idx_e = c.target
+            idx = eval_expr(prog, store, idx_e)
+            if not 0 <= idx < prog.arrays[name]:
+                raise ImpError("out of bounds")
+            key = (name, idx)
+        else:
+            key = c.target
+        return dirac(store.set(key, eval_expr(prog, store, c.expr)))
+    if isinstance(c, CSample):
+        d = eval_expr(prog, store, c.dist)
+        return Dist.from_pairs([(store.set(c.loc, v), w) for v, w in d.points])
+    if isinstance(c, CSeq):
+        first = run(c.first, store)
+        pairs, rdiv, rapp = [], first.residual_div, first.residual_approx
+        for s, w in first.points:
+            out = run(c.second, s)
+            pairs.extend((s2, w * w2) for s2, w2 in out.points)
+            rdiv += w * out.residual_div
+            rapp += w * out.residual_approx
+        return Dist.from_pairs(pairs, residual_div=rdiv, residual_approx=rapp)
+    if isinstance(c, CIf):
+        return run(c.then if eval_expr(prog, store, c.guard) else c.other, store)
+    if isinstance(c, CNthUnused):
+        return dirac(_ref_nth_unused(store, prog, c))
+    assert isinstance(c, CWhile)
+    done, done_div = {}, F(0)
+
+    def sweep(act):
+        live = {}
+        for s, w in act.items():
+            if eval_expr(prog, s, c.guard):
+                live[s] = live.get(s, F(0)) + w
+            else:
+                done[s] = done.get(s, F(0)) + w
+        return live
+
+    active = sweep({store: F(1)})
+    stalled = False
+    body_approx = F(0)
+    for _ in range(max_iter):
+        if not active:
+            break
+        nxt = {}
+        for s, w in active.items():
+            out = run(c.body, s)
+            done_div += w * out.residual_div
+            body_approx += w * out.residual_approx
+            for s2, w2 in out.points:
+                nxt[s2] = nxt.get(s2, F(0)) + w * w2
+        before = dict(active)
+        active = sweep(nxt)
+        if len(done) + len(active) > support_cap:
+            raise ImpError("store support blow-up in while loop")
+        if active == before:
+            stalled = True
+            break
+        if float(sum(active.values(), F(0))) <= tol:
+            break
+    live_mass = sum(active.values(), F(0))
+    if stalled:
+        done_div += live_mass
+        live_mass = F(0)
+    return Dist.from_pairs(
+        list(done.items()), residual_div=done_div, residual_approx=live_mass + body_approx
+    )
+
+
+def _assert_same_run(prog, c, store, **kw):
+    got = eval_cmd(prog, c, store, **kw)
+    ref = _ref_eval(prog, c, store, **kw)
+    assert [(repr(s), w) for s, w in got.points] == [
+        (repr(s), w) for s, w in ref.points
+    ]
+    assert got.points == ref.points
+    assert (got.residual_div, got.residual_approx) == (
+        ref.residual_div, ref.residual_approx,
+    )
+    return got
+
+
+@pytest.mark.parametrize("name", ["as_termination.imp", "skip.imp"])
+def test_corpus_programs_match_stepwise_canonical_form(name):
+    p = parse_imp(open(corpus("imp", name)).read())
+    for n in (0, 1, 3, 8, 64):
+        _assert_same_run(p, p.body, p.initial_store(), max_iter=n)
+
+
+def test_prp_programs_match_stepwise_canonical_form():
+    from qlog.hoare import rf_loop, ri_loop
+
+    for length in (1, 2, 3):
+        for n in range(length, 5):
+            for q in range(1, length + 1):
+                ri, rf = make_programs(length, n, q)
+                s0 = ri.initial_store()
+                for prog in (ri, rf):
+                    for it in (1, q + 1):
+                        _assert_same_run(prog, prog.body, s0, max_iter=it)
+                s1 = s0.set("i", q - 1)
+                _assert_same_run(ri, ri_loop(n), s1)
+                _assert_same_run(rf, rf_loop(n), s1)
+
+
+def test_stalled_and_cut_off_loops_match_stepwise_canonical_form():
+    # part of the mass stalls in `while l == 1 { skip }`: divergence
+    p = prog_of("locs l m\nsample l unif(2);\nwhile l == 1 { skip }")
+    out = _assert_same_run(p, p.body, p.initial_store(), max_iter=5)
+    assert out.residual_div == F(1, 3) and out.residual_approx == 0
+    # a geometric loop cut off by max_iter inside a sampled outer loop
+    p = prog_of(
+        "locs l m\nm := 0;\nwhile m <= 1 { l := 0; sample m unif(2);"
+        " while l == 0 { sample l unif(1) } }"
+    )
+    out = _assert_same_run(p, p.body, p.initial_store(), max_iter=3)
+    assert out.residual_approx > 0 and out.residual_div == 0
+
+
+def test_random_programs_match_stepwise_canonical_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from qlog.imp import CAssign, CIf, CSample, CSeq, CSkip, EBin, ENum, ERead, EUnif
+
+    locs = ["a", "b"]
+    nat = st.recursive(
+        st.one_of(st.builds(ENum, st.integers(0, 2)), st.sampled_from(locs).map(ERead)),
+        lambda inner: st.builds(EBin, st.sampled_from(["+", "-"]), inner, inner),
+        max_leaves=3,
+    )
+    guard = st.builds(EBin, st.sampled_from(["<=", "=="]), nat, nat)
+    cmds = st.recursive(
+        st.one_of(
+            st.just(CSkip()),
+            st.builds(CAssign, st.sampled_from(locs), nat),
+            st.builds(
+                CSample, st.sampled_from(locs),
+                st.integers(0, 2).map(lambda k: EUnif(ENum(k))),
+            ),
+        ),
+        lambda inner: st.one_of(
+            st.builds(CSeq, inner, inner),
+            st.builds(CIf, guard, inner, inner),
+            st.builds(CWhile, guard, inner),
+        ),
+        max_leaves=6,
+    )
+    prog = Program(locs=locs, arrays={}, body=CSkip())
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(cmds, st.integers(0, 4))
+    def check(c, max_iter):
+        _assert_same_run(prog, c, prog.initial_store(), max_iter=max_iter)
+
+    check()
+
+
+def test_store_slots_leave_identity_unchanged():
+    p = prog_of("locs i val\narray arr[3]\nskip")
+    mapping = {"i": 2, "val": 7, ("arr", 0): 4, ("arr", 1): 0, ("arr", 2): 9}
+    built = Store.of(mapping)
+    derived = p.initial_store()
+    for k, v in mapping.items():
+        derived = derived.set(k, v)
+    assert repr(derived) == repr(built) == "{i=2, val=7, ('arr', 0)=4, ('arr', 1)=0, ('arr', 2)=9}"
+    assert derived.dist_key() == built.dist_key() == ("store", built.items)
+    assert derived == built and hash(derived) == hash(built) == hash((built.items,))
+    start = p.initial_store()
+    assert start.set("i", 1).slots is start.slots  # one layout, shared
+    # slots take part in none of repr, dist_key, == and hash
+    other = Store(built.items, {})
+    assert "slots" not in repr(built) and other == built
+    assert hash(other) == hash(built) and repr(other) == repr(built)
+    for key in ("zz", ("arr", 3), ("val",)):
+        with pytest.raises(ImpError, match="undeclared location"):
+            built.get(key)
+        with pytest.raises(ImpError, match="undeclared location"):
+            built.set(key, 1)
+
+
+def test_array_size_must_be_a_number():
+    with pytest.raises(ImpError, match="array size must be a number"):
+        parse_imp("locs l\narray a[x]\nskip")

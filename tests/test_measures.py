@@ -305,6 +305,30 @@ def test_from_pairs_rejects_bad_mass():
     assert Dist.from_pairs([(0, 0), (1, 1)]) == dirac(1)
 
 
+def test_from_pairs_small_supports_keep_point_weight_and_residuals():
+    # supports of fewer than 2 points skip the sort, nothing else
+    one = Dist.from_pairs(
+        [((0.5, -0.0), F(1, 6)), ((0.5, 0.0), F(1, 6))],
+        residual_div=F(1, 3), residual_approx=F(1, 3),
+    )
+    assert one.points == (((0.5, -0.0), F(1, 3)),)
+    assert repr(one.points[0][0]) == "(0.5, -0.0)"  # the first-seen value
+    assert (one.residual_div, one.residual_approx) == (F(1, 3), F(1, 3))
+    assert type(one.residual_div) is F and type(one.residual_approx) is F
+    assert Dist.from_pairs([("x", 0), ("y", 0.25)], residual_div="3/4").points == (
+        ("y", F(1, 4)),
+    )
+    empty = Dist.from_pairs([(7, 0)], residual_div=F(1, 4), residual_approx=0.75)
+    assert empty.points == () and empty.residual_div == F(1, 4)
+    assert empty.residual_approx == F(3, 4) and type(empty.residual_approx) is F
+    with pytest.raises(ValueError, match="negative weight -1/2"):
+        Dist.from_pairs([(0, F(-1, 2))], residual_div=F(3, 2))
+    with pytest.raises(ValueError, match=r"total mass 1/2 != 1"):
+        Dist.from_pairs([(0, F(1, 2))])
+    with pytest.raises(ValueError, match=r"total mass 1/2 != 1"):
+        Dist.from_pairs([], residual_approx=F(1, 2))
+
+
 def test_total_variation_linear_pass_is_exact():
     rng = random.Random(15)
     for _ in range(60):
