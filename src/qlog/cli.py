@@ -33,10 +33,11 @@ from .hoare import triple_value
 from .hypercube import hypercube_contraction_check
 from .imp import ImpError, Store, parse_imp
 from .logic import check_derivation, check_semantic, judgment_from_json, load_derivation_file
-from .parser import QlogSyntaxError, parse_file, parse_type
+from .parser import QlogSyntaxError, parse_file
 from .processes import ProcessError, behavioral_distance, bisimilarity_distance
 from .sampling import sample_envs
 from .td import random_mdp, random_vector, td_contraction_check
+from .terms import TProc
 from .typecheck import Checker, TypeCheckError
 from .values import Approx, value_to_json
 
@@ -69,7 +70,7 @@ def _evaluator(args, alphabets) -> Evaluator:
     return Evaluator(Checker(alphabets), cfg)
 
 
-def _check_file(path: str, as_json: bool):
+def _check_file(path: str):
     qfile = _load_qlog(path)
     ck = Checker(qfile.alphabets)
     results = []
@@ -97,7 +98,7 @@ def cmd_check(args) -> int:
     all_ok = True
     reports = []
     for path in args.files:
-        ok, results = _check_file(path, args.format == "json")
+        ok, results = _check_file(path)
         all_ok = all_ok and ok
         reports.append({"file": path, "defs": results})
     return _report(args, {"files": reports}, "ok" if all_ok else "error")
@@ -141,18 +142,14 @@ def cmd_distance(args) -> int:
             print(f"no definition named {nm}", file=sys.stderr)
             return 2
     lv, rv = values[args.left], values[args.right]
+    ty = qfile.defs[args.left].declared_type
     if args.proc:
-        ty = qfile.defs[args.left].declared_type
-        if not str(ty).startswith("Proc"):
+        if not isinstance(ty, TProc):
             print("--proc needs process-typed definitions", file=sys.stderr)
             return 2
-        c = parse_type(str(ty)).c
-        if args.bisim:
-            d = bisimilarity_distance(ev, lv.value, rv.value, c, args.tol)
-        else:
-            d = behavioral_distance(ev, lv.value, rv.value, c, args.tol)
+        distance = bisimilarity_distance if args.bisim else behavioral_distance
+        d = distance(ev, lv.value, rv.value, ty.c, args.tol)
     else:
-        ty = qfile.defs[args.left].declared_type
         if ty is None:
             ty, _ = ck.synthesize(qfile.ctx.types(), qfile.defs[args.left].term)
         d = ev.distance_at(ty, lv.value, rv.value)
@@ -536,7 +533,7 @@ def main(argv=None) -> int:
     sp.add_argument("--post", required=True)
     sp.add_argument("--mode", choices=("eq", "leq"), default="eq")
     sp.add_argument("--stores", default=None)
-    sp.add_argument("--credit", type=float, default=0.0)
+    sp.add_argument("--credit", type=_non_negative_float, default=0.0)
     sp.set_defaults(fn=cmd_hoare)
 
     sp = sub.add_parser("suite", parents=[common])
@@ -545,10 +542,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         return args.fn(args)
-    except (QlogSyntaxError, TypeCheckError, ProcessError, ImpError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    # OSError: a missing or unreadable file, or a directory given as one
+    except (QlogSyntaxError, TypeCheckError, ProcessError, ImpError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 2
 

@@ -221,6 +221,8 @@ class Dist:
         return [v for v, _ in self.points]
 
     def weight(self, v: Any) -> Fraction:
+        """Mass at v by a linear scan; kept as public API that tests read
+        and the benchmark's prp workload description names."""
         k = key_of(v)
         for u, w in self.points:
             if key_of(u) == k:

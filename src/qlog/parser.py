@@ -639,18 +639,23 @@ class QlogFile:
 
 
 def resolve_labels(term: T.Term, qfile: QlogFile) -> T.Term:
-    """Turn free variables naming alphabet elements into label literals."""
-    if isinstance(term, T.Var):
-        alph = qfile.label_alphabet(term.name)
-        if alph is not None:
-            lab = T.Label(term.name, alph)
-            if hasattr(term, "span"):
-                lab.span = term.span
-            return lab
-        return term
-    for fname, child in list(T._children(term)):
-        setattr(term, fname, resolve_labels(child, qfile))
-    return term
+    """Turn free variables naming alphabet elements into label literals;
+    a name bound by an enclosing scope (T.SCOPES) stays a variable."""
+
+    def walk(t: T.Term, bound: frozenset) -> T.Term:
+        if isinstance(t, T.Var) and t.name not in bound:
+            alph = qfile.label_alphabet(t.name)
+            if alph is not None:
+                lab = T.Label(t.name, alph)
+                if hasattr(t, "span"):
+                    lab.span = t.span
+                return lab
+        over = T._bound_over(t)
+        for fname, child in T._children(t):
+            setattr(t, fname, walk(child, bound.union(over.get(fname, ()))))
+        return t
+
+    return walk(term, frozenset())
 
 
 def _guarded(p: Parser, parse: Callable[[], Any]) -> Any:

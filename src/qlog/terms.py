@@ -5,8 +5,11 @@ Terms carry the annotations needed to make typing derivation-independent
 type, tensor pairs their scaling grades).  The parser fills what it can;
 the typechecker's elaboration pass infers the rest where unambiguous.
 
-Alpha-equivalence is decided by canonical keys with de Bruijn-style
-binder numbering; substitution is capture-avoiding.
+The binding structure lives in one table, ``SCOPES``: for every binder
+form, which name fields bind over which body field.  Free variables,
+capture-avoiding substitution, alpha-equivalence keys (de Bruijn-style
+binder numbering) and the parser's label resolution each read it, so a
+new binder form needs one row there.
 """
 
 from __future__ import annotations
@@ -350,12 +353,17 @@ class Forall(Term):
     body: Term
 
 
-BINDERS = {
-    Lam: ("name", ["body"]),
-    Fix: ("name", ["body"]),
-    LetSample: ("name", ["body"]),
-    Exists: ("name", ["body"]),
-    Forall: ("name", ["body"]),
+# binder form -> its scopes, each (fields naming the bound variables,
+# the body field they scope over); other fields see only outer binders
+SCOPES: Dict[type, Tuple[Tuple[Tuple[str, ...], str], ...]] = {
+    Lam: ((("name",), "body"),),
+    Fix: ((("name",), "body"),),
+    LetSample: ((("name",), "body"),),
+    Exists: ((("name",), "body"),),
+    Forall: ((("name",), "body"),),
+    LetTensor: ((("left_name", "right_name"), "body"),),
+    Case: ((("left_name",), "left_body"), (("right_name",), "right_body")),
+    NatRec: ((("prev_name", "index_name"), "succ_case"),),
 }
 
 
@@ -373,33 +381,21 @@ def _children(t: Term) -> List[Tuple[str, Term]]:
 # ---------------------------------------------------------------------------
 
 
+def _bound_over(t: Term) -> Dict[str, Tuple[str, ...]]:
+    """Body field -> the names t binds over it (see SCOPES)."""
+    return {
+        body: tuple(getattr(t, b) for b in binders)
+        for binders, body in SCOPES.get(type(t), ())
+    }
+
+
 def free_vars(t: Term) -> set:
     if isinstance(t, Var):
         return {t.name}
-    if isinstance(t, (Lam, Fix, LetSample, Exists, Forall)):
-        inner = free_vars(t.body) - {t.name}
-        if isinstance(t, LetSample):
-            inner |= free_vars(t.bound)
-        return inner
-    if isinstance(t, LetTensor):
-        return free_vars(t.bound) | (
-            free_vars(t.body) - {t.left_name, t.right_name}
-        )
-    if isinstance(t, Case):
-        return (
-            free_vars(t.scrut)
-            | (free_vars(t.left_body) - {t.left_name})
-            | (free_vars(t.right_body) - {t.right_name})
-        )
-    if isinstance(t, NatRec):
-        return (
-            free_vars(t.zero_case)
-            | (free_vars(t.succ_case) - {t.prev_name, t.index_name})
-            | free_vars(t.scrut)
-        )
+    bound = _bound_over(t)
     out: set = set()
-    for _, c in _children(t):
-        out |= free_vars(c)
+    for fname, c in _children(t):
+        out |= free_vars(c).difference(bound.get(fname, ()))
     return out
 
 
@@ -422,141 +418,77 @@ def _clone(t: Term, **updates) -> Term:
 
 
 def substitute(t: Term, name: str, repl: Term) -> Term:
-    """Capture-avoiding substitution of repl for the free variable."""
+    """Capture-avoiding substitution of repl for the free variable.
+
+    Children outside every scope go first, in field order, then each
+    scope, renaming (fresh_name) each binder that would capture repl.
+    """
     if isinstance(t, Var):
         return repl if t.name == name else t
+    scopes = SCOPES.get(type(t), ())
+    bodies = {body for _, body in scopes}
+    updates = {
+        fname: substitute(c, name, repl)
+        for fname, c in _children(t)
+        if fname not in bodies
+    }
     fv_repl = None
-
-    def sub(u: Term) -> Term:
-        return substitute(u, name, repl)
-
-    def avoid(binder: str, body: Term) -> Tuple[str, Term]:
-        nonlocal fv_repl
+    for binders, body_field in scopes:
+        if name in [getattr(t, b) for b in binders]:
+            continue  # shadowed: the body keeps its bound occurrences
         if fv_repl is None:
             fv_repl = free_vars(repl)
-        if binder in fv_repl:
-            newb = fresh_name(binder)
-            body = substitute(body, binder, Var(newb))
-            return newb, body
-        return binder, body
+        body = getattr(t, body_field)
+        for b in binders:
+            old = getattr(t, b)
+            if old in fv_repl:
+                updates[b] = fresh_name(old)
+                body = substitute(body, old, Var(updates[b]))
+        updates[body_field] = substitute(body, name, repl)
+    return _clone(t, **updates) if updates else t
 
-    if isinstance(t, (Lam, Fix, Exists, Forall)):
-        if t.name == name:
-            return t
-        b, body = avoid(t.name, t.body)
-        return _clone(t, name=b, body=sub(body))
-    if isinstance(t, LetSample):
-        bound = sub(t.bound)
-        if t.name == name:
-            return _clone(t, bound=bound)
-        b, body = avoid(t.name, t.body)
-        return _clone(t, name=b, bound=bound, body=sub(body))
-    if isinstance(t, LetTensor):
-        bound = sub(t.bound)
-        if name in (t.left_name, t.right_name):
-            return _clone(t, bound=bound)
-        ln, body = avoid(t.left_name, t.body)
-        rn, body = avoid(t.right_name, body)
-        return _clone(t, left_name=ln, right_name=rn, bound=bound, body=sub(body))
-    if isinstance(t, Case):
-        scrut = sub(t.scrut)
-        lb = t.left_body
-        rb = t.right_body
-        ln, rn = t.left_name, t.right_name
-        if name != ln:
-            ln, lb = avoid(ln, lb)
-            lb = sub(lb)
-        if name != rn:
-            rn, rb = avoid(rn, rb)
-            rb = sub(rb)
-        return _clone(
-            t, scrut=scrut, left_name=ln, left_body=lb, right_name=rn, right_body=rb
-        )
-    if isinstance(t, NatRec):
-        z = sub(t.zero_case)
-        n = sub(t.scrut)
-        sc = t.succ_case
-        pn, xn = t.prev_name, t.index_name
-        if name not in (pn, xn):
-            pn, sc = avoid(pn, sc)
-            xn, sc = avoid(xn, sc)
-            sc = sub(sc)
-        return _clone(
-            t, zero_case=z, prev_name=pn, index_name=xn, succ_case=sc, scrut=n
-        )
-    updates = {fname: sub(c) for fname, c in _children(t)}
-    if not updates:
-        return t
-    return _clone(t, **updates)
+
+# annotations the typechecker derives (rather than the user writes) are
+# excluded so elaborated and freshly-built terms compare equal
+_DERIVED = {"at_type", "bind_grade", "contraction"}
 
 
 def alpha_key(t: Term, env: Optional[Dict[str, int]] = None, depth: int = 0):
-    """Canonical hashable key; equal keys iff alpha-equivalent terms."""
+    """Canonical hashable key; equal keys iff alpha-equivalent terms.
+
+    Bound variables become de Bruijn levels.  A binder form puts its
+    annotations, if any, in one tuple ahead of its children.
+    """
     if env is None:
         env = {}
     if isinstance(t, Var):
         if t.name in env:
             return ("bvar", env[t.name])
         return ("fvar", t.name)
-
-    def under(names: List[str], body: Term, d: int):
-        e = dict(env)
-        for i, n in enumerate(names):
-            e[n] = d + i
-        return alpha_key(body, e, d + len(names))
-
-    tag = type(t).__name__
-    if isinstance(t, (Lam, Fix, Exists, Forall)):
-        ann: tuple = ()
-        if isinstance(t, Lam):
-            ann = (str(t.arg_type), str(t.grade))
-        if isinstance(t, Fix):
-            ann = (str(t.fix_type),)
-        if isinstance(t, (Exists, Forall)):
-            ann = (str(t.var_type),)
-        return (tag, ann, under([t.name], t.body, depth))
-    if isinstance(t, LetSample):
-        return (
-            tag,
-            alpha_key(t.bound, env, depth),
-            under([t.name], t.body, depth),
-        )
-    if isinstance(t, LetTensor):
-        return (
-            tag,
-            alpha_key(t.bound, env, depth),
-            under([t.left_name, t.right_name], t.body, depth),
-        )
-    if isinstance(t, Case):
-        return (
-            tag,
-            alpha_key(t.scrut, env, depth),
-            under([t.left_name], t.left_body, depth),
-            under([t.right_name], t.right_body, depth),
-        )
-    if isinstance(t, NatRec):
-        return (
-            tag,
-            alpha_key(t.zero_case, env, depth),
-            under([t.prev_name, t.index_name], t.succ_case, depth),
-            alpha_key(t.scrut, env, depth),
-        )
-    # annotations the typechecker derives (rather than the user writes)
-    # are excluded so elaborated and freshly-built terms compare equal
-    derived = {"at_type", "bind_grade", "contraction"}
-    parts: list = [tag]
+    bound = _bound_over(t)
+    skip = _DERIVED.union(*(binders for binders, _ in SCOPES.get(type(t), ())))
+    parts: list = [type(t).__name__]
+    ann: list = []
     for f in fields(t):
-        if f.name in derived:
+        if f.name in skip:
             continue
         v = getattr(t, f.name)
-        if isinstance(t, TensorPair) and f.name in ("r", "s") and v is None:
-            v = ONE  # unannotated tensor pairs default to grades (1,1)
-        if isinstance(v, Term):
+        if f.name in bound:
+            inner = dict(env)
+            for i, n in enumerate(bound[f.name]):
+                inner[n] = depth + i
+            parts.append(alpha_key(v, inner, depth + len(bound[f.name])))
+        elif isinstance(v, Term):
             parts.append(alpha_key(v, env, depth))
-        elif isinstance(v, (Grade, Fraction, int, str)) or v is None:
-            parts.append(str(v))
-        elif isinstance(v, Type):
-            parts.append(str(v))
+        elif bound:
+            ann.append(str(v))
+        else:
+            if isinstance(t, TensorPair) and v is None:
+                v = ONE  # unannotated tensor pairs default to grades (1,1)
+            if isinstance(v, (Grade, Fraction, int, str, Type)) or v is None:
+                parts.append(str(v))
+    if ann:
+        parts.insert(1, tuple(ann))
     return tuple(parts)
 
 

@@ -330,3 +330,40 @@ def test_hoare_undeclared_predicate_location_is_rejected(pre, post, message, cap
     )
     assert code == 2 and out == ""
     assert capsys.readouterr().err == message + " of the store\n"
+
+
+@pytest.mark.parametrize("credit", ["nan", "-1", "x"])
+def test_hoare_credit_must_be_a_non_negative_number(credit, capsys):
+    # NaN used to be echoed as "credit": NaN, which is not JSON
+    with pytest.raises(SystemExit) as e:
+        run_cli(
+            "hoare", "--left", SKIP_IMP, "--right", SKIP_IMP,
+            "--pre", "tt", "--post", "tt", "--credit", credit, "--format", "json",
+        )
+    assert e.value.code == 2
+    assert "argument --credit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", corpus()),
+        ("hoare", "--left", corpus("imp"), "--right", SKIP_IMP,
+         "--pre", "tt", "--post", "tt"),
+    ],
+)
+def test_directory_argument_is_a_usage_error(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "Is a directory" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["def a : Nat = 1\n", "def a = 1\n"])
+def test_distance_proc_needs_process_types(tmp_path, capsys, source):
+    src = tmp_path / "nat.qlog"
+    src.write_text(source)
+    code, out = run_cli("distance", str(src), "--left", "a", "--right", "a", "--proc")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "--proc needs process-typed definitions\n"
