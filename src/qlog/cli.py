@@ -391,8 +391,8 @@ def cmd_hoare(args) -> int:
         with open(path) as fh:
             try:
                 progs.append(parse_imp(fh.read()))
-            except ImpError as e:
-                return _usage_error(f"{path}: {e}")
+            except ImpError as e:  # a parse error reads path:line:col: ...
+                return _usage_error(f"{path}{': ' if e.line is None else ':'}{e}")
     left, right = progs
     pairs = [(left.initial_store(), right.initial_store())]
     if args.stores:
@@ -465,13 +465,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a fraction, got {text!r}")
 
 
-def _non_negative_float(text: str) -> float:
+def _non_negative_float(text: str, finite: bool = False) -> float:
     try:
-        if float(text) >= 0:  # False for NaN
+        if float(text) >= 0 and not (finite and float(text) == float("inf")):  # NaN: no
             return float(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    what = "a finite number" if finite else "a number"
+    raise argparse.ArgumentTypeError(f"expected {what} >= 0, got {text!r}")
 
 
 def main(argv=None) -> int:
@@ -533,7 +534,10 @@ def main(argv=None) -> int:
     sp.add_argument("--post", required=True)
     sp.add_argument("--mode", choices=("eq", "leq"), default="eq")
     sp.add_argument("--stores", default=None)
-    sp.add_argument("--credit", type=_non_negative_float, default=0.0)
+    # finite: the credit is echoed into the report, where inf is not JSON
+    sp.add_argument(
+        "--credit", type=lambda t: _non_negative_float(t, finite=True), default=0.0
+    )
     sp.set_defaults(fn=cmd_hoare)
 
     sp = sub.add_parser("suite", parents=[common])

@@ -41,13 +41,23 @@ import re
 from dataclasses import dataclass, field
 from itertools import count, islice
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .measures import Dist
 
 
 class ImpError(ValueError):
-    pass
+    """A malformed, ill-typed or failing program.  A parse error is given
+    the source and its token's offset, and sets 1-based ``line``/``col``."""
+
+    line: Optional[int] = None
+
+    def __init__(self, message: str, src: str = "", at: Optional[int] = None):
+        if at is not None:
+            self.line = src.count("\n", 0, at) + 1
+            self.col = at - src.rfind("\n", 0, at)
+            message = f"{self.line}:{self.col}: {message}"
+        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +444,8 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize_imp(src: str) -> List[Tuple[str, str]]:
+def _tokenize_imp(src: str) -> List[Tuple[str, str, int]]:
+    """(kind, text, offset) triples, then (None, None, end of the input)."""
     toks = []
     pos = 0
     while pos < len(src):
@@ -442,33 +453,39 @@ def _tokenize_imp(src: str) -> List[Tuple[str, str]]:
         if not m:
             if src[pos:].strip() == "":
                 break
-            raise ImpError(f"bad character {src[pos]!r}")
+            pos = len(src) - len(src[pos:].lstrip())  # past the blanks
+            raise ImpError(f"bad character {src[pos]!r}", src, pos)
         pos = m.end()
         if m.lastgroup == "comment" or m.group(0).strip() == "":
             continue
-        toks.append((m.lastgroup, m.group(m.lastgroup)))
-    return toks
+        toks.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+    return toks + [(None, None, len(src.rstrip()))]
 
 
 class ImpParser:
     def __init__(self, src: str):
+        self.src = src
         self.toks = _tokenize_imp(src)
         self.pos = 0
 
+    def error(self, message: str, back: int = 1) -> ImpError:
+        """At the token just read (back 1) or the next one (back 0)."""
+        return ImpError(message, self.src, self.toks[self.pos - back][2])
+
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
+        return self.toks[self.pos][:2]
 
     def next(self):
         t = self.peek()
         if t[0] is None:
-            raise ImpError("unexpected end of program")
+            raise self.error("unexpected end of program", 0)
         self.pos += 1
         return t
 
     def expect(self, text):
         kind, val = self.next()
         if val != text:
-            raise ImpError(f"expected {text!r}, got {val!r}")
+            raise self.error(f"expected {text!r}, got {val!r}")
 
     def at(self, text):
         return self.peek()[1] == text
@@ -486,9 +503,7 @@ class ImpParser:
     }
 
     def _peek2(self):
-        return (
-            self.toks[self.pos + 1][1] if self.pos + 1 < len(self.toks) else None
-        )
+        return self.toks[min(self.pos + 1, len(self.toks) - 1)][1]
 
     # declarations then one command
     def program(self) -> Program:
@@ -508,13 +523,13 @@ class ImpParser:
                 self.expect("[")
                 kind, size = self.next()
                 if kind != "num":
-                    raise ImpError(f"array size must be a number, got {size!r}")
+                    raise self.error(f"array size must be a number, got {size!r}")
                 size = int(size)
                 self.expect("]")
                 arrays[name] = size
         body = self.command()
         if self.peek()[0] is not None:
-            raise ImpError(f"trailing input {self.peek()[1]!r}")
+            raise self.error(f"trailing input {self.peek()[1]!r}", 0)
         prog = Program(locs, arrays, body)
         check_cmd(prog, body)
         return prog
@@ -576,7 +591,7 @@ class ImpParser:
                 return CAssign((name, idx), self.expr())
             self.expect(":=")
             return CAssign(name, self.expr())
-        raise ImpError(f"expected a command, got {val!r}")
+        raise self.error(f"expected a command, got {val!r}", 0)
 
     def expr(self) -> Expr:
         left = self.arith()
@@ -619,7 +634,7 @@ class ImpParser:
                 self.expect("]")
                 return EIndex(val, idx)
             return ERead(val)
-        raise ImpError(f"expected an expression, got {val!r}")
+        raise self.error(f"expected an expression, got {val!r}")
 
 
 def parse_imp(src: str) -> Program:

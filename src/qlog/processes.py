@@ -17,15 +17,19 @@ unsaturated pairs: pairs with D = 1 can no longer move, identical
 nodes never do.  For discount c < 1 this is at most c (Banach); at
 c = 1 convergence certification relies on the recursion mass actually
 contracting, and the iteration reports failure when it does not.
+
+``bisimilarity_distance`` finds the same fixed point exactly for c < 1,
+by policy iteration over couplings (Tang and van Breugel, CONCUR 2016)
+as in :func:`_bisimilarity_exact`: an independent second route.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Dict, List, Tuple
 
 from .grades import Grade
-from .measures import Dist, kantorovich
 from .transport import solve_transport
 from .values import Approx, VProc, VRef, deref
 
@@ -44,9 +48,7 @@ def _node(v: Any) -> VProc:
 def _step_nodes(node: VProc) -> List[Tuple[VProc, Fraction]]:
     if node.step is None:
         raise ProcessError("process node has no step distribution")
-    out = []
-    for v, w in node.step.points:
-        out.append((_node(v), w))
+    out = [(_node(v), w) for v, w in node.step.points]
     if node.step.residual != 0:
         raise ProcessError("process step carries residual mass")
     return out
@@ -107,7 +109,6 @@ def _label_distance(a: VProc, b: VProc) -> float:
 
 
 _PERT = Fraction(1, 2**50)
-_ROUNDING = 2.0**-50
 
 
 def behavioral_distance(
@@ -184,55 +185,85 @@ def behavioral_distance(
     return Approx(D[(id(a), id(b))], min(radius, 1.0))
 
 
-def bisimilarity_distance(evaluator, p: Any, q: Any, c: Grade, tol: float) -> Approx:
-    """Greatest-fixed-point style distance through coupling goals.
+def _policy_values(steps, policy, c: Fraction) -> List[Fraction]:
+    """Exact D with D_i = c * (coupling i's mass on unknowns j times D_j,
+    plus its mass on label mismatches), by Gaussian elimination on sparse
+    dict rows of I - cP, column -1 holding the constant.  Row i has
+    diagonal 1 - c P_ii and off-diagonal sum at most c (1 - P_ii), so for
+    c < 1 it is strictly diagonally dominant, stays so, needs no pivot."""
+    rows = []
+    for i, ((_, _, slots), flow) in enumerate(zip(steps, policy)):
+        row = {i: Fraction(1), -1: Fraction(0)}
+        for (r, s), m in flow.items():
+            if slots[r][s] != -2:  # identical nodes add c * m * 0
+                row[slots[r][s]] = row.get(slots[r][s], 0) - c * m
+        rows.append(row)
+    for i, pivot in enumerate(rows):
+        for row in rows[i + 1:]:
+            f = row.pop(i, 0)
+            if f:
+                f /= pivot[i]
+                for k, v in pivot.items():
+                    if k != i:
+                        row[k] = row.get(k, 0) - f * v
+    x = {-1: Fraction(1)}
+    for i in reversed(range(len(rows))):
+        x[i] = -sum(v * x[k] for k, v in rows[i].items() if k != i) / rows[i][i]
+    return [x[i] for i in range(len(rows))]
 
-    Defined only for contractive discounts; computed as the guarded
-    fixed point of `label mismatch (+) c * (cheapest coupling of the
-    step measures w.r.t. the current relation)`, which is the same
-    functional as the behavioral distance.  Their agreement is therefore
-    a consistency check between two code paths, not a comparison with
-    an independent algorithm.
+
+def _bisimilarity_exact(p: Any, q: Any, c: Grade) -> Fraction:
+    """The bisimilarity distance as an exact rational, for c < 1.
+
+    Unknowns are the distinct equal-label pairs reachable from (p, q)
+    through such pairs, in slots 0, 1, ...; slots -2 (identical nodes)
+    and -1 (label mismatches) index the constants 0 and 1 at the end of
+    D.  Each unknown keeps one vertex coupling, first the optimum with
+    the unknowns at 0.  The couplings' system is solved exactly, and a
+    coupling switches only on a strict improvement of its transport
+    under that D; when none improves, D is the unique fixed point.
     """
+    a, b = _node(p), _node(q)
+    if a is b or a.label != b.label:
+        return Fraction(0 if a is b else 1)
+    slot = {(id(a), id(b)): 0}
+    todo = [(a, b)]
+
+    def slot_of(u: VProc, v: VProc) -> int:
+        if u is v or u.label != v.label:
+            return -2 if u is v else -1
+        if (id(u), id(v)) not in slot:
+            slot[(id(u), id(v))] = len(todo)
+            todo.append((u, v))
+        return slot[(id(u), id(v))]
+
+    steps = []  # per unknown: supplies, demands, slot of each successor pair
+    for x, y in todo:  # todo grows while it is read
+        sx, sy = _step_nodes(x), _step_nodes(y)
+        slots = [[slot_of(u, v) for v, _ in sy] for u, _ in sx]
+        steps.append(([w for _, w in sx], [w for _, w in sy], slots))
+    n, cr = len(steps), c.rational
+    D = [Fraction(0)] * n + [Fraction(0), Fraction(1)]
+    policy: List[Any] = [None] * n
+    while True:
+        improved = False
+        for i, (sup, dem, slots) in enumerate(steps):
+            costs = [[D[k] for k in row] for row in slots]
+            opt, flow = solve_transport(sup, dem, costs)
+            if policy[i] is None or cr * opt < D[i]:
+                policy[i] = flow
+                improved = True
+        if not improved:
+            return D[0]
+        D[:n] = _policy_values(steps, policy, cr)
+
+
+def bisimilarity_distance(evaluator, p: Any, q: Any, c: Grade, tol: float) -> Approx:
+    """Exact distance by policy iteration over couplings (``tol`` unread):
+    the float nearest the exact rational, with radius 0 when that float
+    is exact and one ulp of it otherwise, which bounds the rounding."""
     if not c < Grade(1):
         raise ProcessError(f"bisimilarity distance needs discount < 1, got {c}")
-    a, b = _node(p), _node(q)
-    cf = float(c)
-    pairs = _reachable_pairs(a, b)
-    rel: Dict[Tuple[int, int], float] = {(id(x), id(y)): 0.0 for x, y in pairs}
-    # The process graph is fixed: step measures per distinct pair, built
-    # once; the metric reads the current relation.
-    steps = [
-        (
-            (id(x), id(y)),
-            _label_distance(x, y),
-            Dist.from_pairs(_step_nodes(x)),
-            Dist.from_pairs(_step_nodes(y)),
-        )
-        for x, y in pairs
-        if id(x) != id(y)
-    ]
-
-    def metric(u, v):
-        return rel[(id(deref(u)), id(deref(v)))]
-
-    # One round in floats is off by at most four roundings of 2^-53 (the
-    # LP optimum, c, the product, the sum); at a numeric fixed point the
-    # contraction turns that into an error of at most _ROUNDING / (1 - c).
-    floor = _ROUNDING / float(1 - c.rational)
-    radius = 1.0
-    while radius > tol:
-        fresh = {key: 0.0 for key in rel}
-        for key, label, mu, nu in steps:
-            fresh[key] = min(label + cf * kantorovich(metric, mu, nu), 1.0)
-        settled = fresh == rel
-        rel = fresh
-        radius = max(radius * cf, floor)
-        if settled:
-            # The iterates rise monotonically through finitely many
-            # floats, so this is reached whatever the tolerance.  More
-            # rounds would repeat rel; only the radius moves on.
-            while radius > max(tol, floor):
-                radius = max(radius * cf, floor)
-            break
-    return Approx(rel[(id(a), id(b))], min(radius, 1.0))
+    exact = _bisimilarity_exact(p, q, c)
+    value = float(exact)
+    return Approx(value, 0.0 if Fraction(value) == exact else math.ulp(value))

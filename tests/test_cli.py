@@ -315,6 +315,15 @@ def test_hoare_malformed_input_is_a_usage_error(
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_imp_parse_error_reads_file_line_col(tmp_path, capsys):
+    left = tmp_path / "bad.imp"
+    left.write_text("locs l\nl := ;\n")
+    code, out = run_cli("hoare", "--left", str(left), "--right", SKIP_IMP,
+                        "--pre", "tt", "--post", "tt")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"{left}:2:6: expected an expression, got ';'\n"
+
+
 @pytest.mark.parametrize(
     "pre, post, message",
     [
@@ -332,9 +341,9 @@ def test_hoare_undeclared_predicate_location_is_rejected(pre, post, message, cap
     assert capsys.readouterr().err == message + " of the store\n"
 
 
-@pytest.mark.parametrize("credit", ["nan", "-1", "x"])
+@pytest.mark.parametrize("credit", ["nan", "-1", "x", "inf"])
 def test_hoare_credit_must_be_a_non_negative_number(credit, capsys):
-    # NaN used to be echoed as "credit": NaN, which is not JSON
+    # NaN and inf used to be echoed as "credit": NaN or Infinity, not JSON
     with pytest.raises(SystemExit) as e:
         run_cli(
             "hoare", "--left", SKIP_IMP, "--right", SKIP_IMP,
@@ -342,6 +351,15 @@ def test_hoare_credit_must_be_a_non_negative_number(credit, capsys):
         )
     assert e.value.code == 2
     assert "argument --credit" in capsys.readouterr().err
+
+
+def test_hoare_tol_inf_stays_valid():
+    # --tol inf stops iteration at once; it is not echoed into the report
+    code, out = run_cli(
+        "hoare", "--left", SKIP_IMP, "--right", SKIP_IMP, "--pre", "tt",
+        "--post", "tt", "--tol", "inf", "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["status"] == "ok"
 
 
 @pytest.mark.parametrize(

@@ -462,3 +462,28 @@ def test_store_slots_leave_identity_unchanged():
 def test_array_size_must_be_a_number():
     with pytest.raises(ImpError, match="array size must be a number"):
         parse_imp("locs l\narray a[x]\nskip")
+
+
+@pytest.mark.parametrize(
+    "src, line, col, message",
+    [
+        ("locs l\nl := ;\n", 2, 6, "expected an expression, got ';'"),
+        ("locs l\nl := 1 $\n", 2, 8, "bad character '$'"),
+        ("locs l\nl := 1 +\n", 2, 9, "unexpected end of program"),
+        ("locs l\nl := 1\nskip\n", 3, 1, "trailing input 'skip'"),
+        ("locs l\narray a[x]\nskip", 2, 9, "array size must be a number, got 'x'"),
+        ("locs l\n-- note\nif l == 0 { skip } ( { skip }", 3, 20, "expected 'else', got '('"),
+        ("locs l\n  ; skip", 2, 3, "expected a command, got ';'"),
+    ],
+)
+def test_parse_errors_carry_a_position(src, line, col, message):
+    with pytest.raises(ImpError) as e:
+        parse_imp(src)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value) == f"{line}:{col}: {message}"
+
+
+def test_type_errors_carry_no_position():
+    with pytest.raises(ImpError) as e:
+        parse_imp("locs l\nm := 3")
+    assert e.value.line is None and str(e.value) == "undeclared location m"

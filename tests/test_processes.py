@@ -1,6 +1,7 @@
 """Process distances, unfolding, and markov-style case studies."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,10 +10,12 @@ import pytest
 from conftest import corpus
 from qlog.evaluator import EvalConfig, Evaluator
 from qlog.grades import Grade
-from qlog.measures import Dist, dirac, kantorovich
+from qlog.measures import Dist, dirac, kantorovich, kantorovich_oracle
 from qlog.parser import parse_file
 from qlog.processes import (
     ProcessError,
+    _bisimilarity_exact,
+    _reachable_pairs,
     behavioral_distance,
     bisimilarity_distance,
     unfold_process,
@@ -179,22 +182,48 @@ def test_bisimilarity_agrees_with_behavioral():
                 assert abs(bd.value - bs.value) <= 2 * tol
 
 
-# Both routes on the corpus pairs, as float.hex of (value, radius); the
-# figures are those of the Fraction simplex and the per-round step
-# rebuild that the integer simplex and the hoisted step data replaced.
+# Exact bisimilarity distances of corpus pairs, as (file, left, right,
+# discount, distance); the coins are c*eps/(1 - c + c*eps).
+BISIMILARITY_EXACT = [
+    ("coin_half.qlog", "hd", "hde", F(1, 2), F(1, 5)),
+    ("coin_half.qlog", "hd", "hde", F(9, 10), F(9, 13)),
+    ("coin_nine_tenths.qlog", "hd", "hde", F(9, 10), F(9, 19)),
+    ("coin_nine_tenths.qlog", "tl", "tle", F(9, 10), F(9, 19)),
+    ("coin_nine_tenths.qlog", "hd", "tle", F(9, 10), F(1)),
+    ("coin_half.qlog", "tl", "hde", F(1, 2), F(1)),
+    ("coin_half.qlog", "hd", "hd", F(1, 2), F(0)),
+    ("markov.qlog", "m", "n", F(1, 2), F(1, 10)),
+    ("markov.qlog", "m", "n", F(9, 10), F(3, 14)),
+]
+
+
+def _bisimilarity_row(fname, left, right, c, exact):
+    """A PINNED row from the exact distance: the nearest float, and a
+    radius of 0 if that float is exact, else one ulp of it."""
+    value = float(exact)
+    radius = 0.0 if F(value) == exact else math.ulp(value)
+    return (fname, left, right, bisimilarity_distance, c, value.hex(), radius.hex())
+
+
+@pytest.mark.parametrize("fname,left,right,c,exact", BISIMILARITY_EXACT)
+def test_bisimilarity_exact_pinned(fname, left, right, c, exact):
+    _, ev, vals = load(fname)
+    assert _bisimilarity_exact(vals[left].value, vals[right].value, Grade(c)) == exact
+
+
+# Both routes on the corpus pairs, as float.hex of (value, radius).  The
+# behavioral figures are those of the Fraction simplex and the per-round
+# step rebuild that the integer simplex and the hoisted step data
+# replaced; the bisimilarity rows derive from BISIMILARITY_EXACT.
 PINNED = [
     ("coin_half.qlog", "hd", "hde", behavioral_distance, F(1, 2),
      "0x1.998a390000013p-3", "0x1.338c00000cccap-14"),
-    ("coin_half.qlog", "hd", "hde", bisimilarity_distance, F(1, 2),
-     "0x1.99994bc090000p-3", "0x1.0000000000000p-14"),
-    ("coin_half.qlog", "hd", "hde", bisimilarity_distance, F(9, 10),
-     "0x1.627627627626fp-1", "0x1.8a753d83eaa71p-14"),
+    _bisimilarity_row(*BISIMILARITY_EXACT[0]),
+    _bisimilarity_row(*BISIMILARITY_EXACT[1]),
     ("markov.qlog", "m", "n", behavioral_distance, F(1),
      "0x1.ffec05c654ac8p-3", "0x1.3fa39ab55f98ep-14"),
-    ("markov.qlog", "m", "n", bisimilarity_distance, F(1, 2),
-     "0x1.9999999912e78p-4", "0x1.0000000000000p-14"),
-    ("markov.qlog", "m", "n", bisimilarity_distance, F(9, 10),
-     "0x1.b6db6db6db6dbp-3", "0x1.8a753d83eaa71p-14"),
+    _bisimilarity_row(*BISIMILARITY_EXACT[7]),
+    _bisimilarity_row(*BISIMILARITY_EXACT[8]),
 ]
 
 
@@ -224,3 +253,82 @@ def test_residual_step_mass_rejected(route):
     leaky = VProc("Hd", Dist.from_pairs([(hd, F(1, 2))], residual_div=F(1, 2)))
     with pytest.raises(ProcessError, match="residual mass"):
         route(ev, leaky, hd, Grade(F(1, 2)), 1e-4)
+
+
+def random_chain(rng, k, b):
+    """k labelled process nodes, each stepping to b of them (repeats
+    allowed) with random weights; a finite cyclic process graph."""
+    nodes = [VProc(rng.choice("AB")) for _ in range(k)]
+    for node in nodes:
+        pairs = [(rng.choice(nodes), F(rng.randrange(1, 8))) for _ in range(b)]
+        total = sum(w for _, w in pairs)
+        node.step = Dist.from_pairs([(v, w / total) for v, w in pairs])
+    return nodes
+
+
+def _corpus_pairs():
+    for fname, c in (
+        ("coin_half.qlog", F(1, 2)),
+        ("coin_half.qlog", F(9, 10)),
+        ("coin_nine_tenths.qlog", F(9, 10)),
+    ):
+        _, _, vals = load(fname)
+        names = ["hd", "tl", "hde", "tle"]
+        for i, x in enumerate(names):
+            for y in names[i:]:
+                yield vals[x].value, vals[y].value, c
+    _, _, vals = load("markov.qlog")
+    for c in (F(1, 2), F(9, 10)):
+        yield vals["m"].value, vals["n"].value, c
+
+
+def _chain_pairs():
+    rng = random.Random(8)
+    for c in (F(1, 2), F(9, 10)):
+        for k in (2, 3, 4):
+            for _ in range(4):
+                nodes = random_chain(rng, k, rng.randrange(1, 4))
+                yield nodes[0], rng.choice(nodes), c
+
+
+@pytest.mark.parametrize("tol", [1e-4, 0.0])
+def test_behavioral_radius_bounds_the_exact_error(tol):
+    # Two-sided: the float iterates may overshoot the exact value by
+    # about 1e-15, inside the radius floor at a numeric fixed point.
+    for p, q, c in itertools.chain(_corpus_pairs(), _chain_pairs()):
+        exact = _bisimilarity_exact(p, q, Grade(c))
+        beh = behavioral_distance(None, p, q, Grade(c), tol)
+        assert abs(exact - F(beh.value)) <= F(beh.radius)
+
+
+def test_exact_distance_is_a_fixed_point_property():
+    """At every reachable pair, D = min(d_label + c * K(D), 1) with K the
+    brute-force vertex enumeration, not the simplex that the policy
+    iteration uses; the fixed point is unique for c < 1."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([F(1, 2), F(9, 10), F(1, 3)]),
+        st.randoms(use_true_random=False),
+    )
+    def check(k, b, c, rng):
+        nodes = random_chain(rng, k, b)
+        pairs = _reachable_pairs(rng.choice(nodes), rng.choice(nodes))
+        D = {(id(x), id(y)): _bisimilarity_exact(x, y, Grade(c)) for x, y in pairs}
+
+        def cost(u, v):
+            return D[(id(deref(u)), id(deref(v)))]
+
+        for x, y in pairs:
+            if x is y:  # not expanded: its successor pairs are not in D
+                assert D[(id(x), id(y))] == 0
+                continue
+            label = 0 if x.label == y.label else 1
+            step = kantorovich_oracle(cost, x.step, y.step)
+            assert D[(id(x), id(y))] == min(label + c * step, 1)
+
+    check()
