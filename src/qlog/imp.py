@@ -47,8 +47,9 @@ from .measures import Dist
 
 
 class ImpError(ValueError):
-    """A malformed, ill-typed or failing program.  A parse error is given
-    the source and its token's offset, and sets 1-based ``line``/``col``."""
+    """A malformed, ill-typed or failing program.  A parse error or an
+    undeclared name is given the source and its token's offset, and sets
+    1-based ``line``/``col``."""
 
     line: Optional[int] = None
 
@@ -467,6 +468,8 @@ class ImpParser:
         self.src = src
         self.toks = _tokenize_imp(src)
         self.pos = 0
+        self.locs: List[str] = []  # the declarations, read before the body
+        self.arrays: Dict[str, int] = {}
 
     def error(self, message: str, back: int = 1) -> ImpError:
         """At the token just read (back 1) or the next one (back 0)."""
@@ -490,6 +493,12 @@ class ImpParser:
     def at(self, text):
         return self.peek()[1] == text
 
+    def declared(self, name: str, table, what: str) -> str:
+        """``name``, the token just read, if the declarations name it."""
+        if name not in table:
+            raise self.error(f"undeclared {what} {name}")
+        return name
+
     RESERVED = {
         "skip",
         "if",
@@ -507,8 +516,7 @@ class ImpParser:
 
     # declarations then one command
     def program(self) -> Program:
-        locs: List[str] = []
-        arrays: Dict[str, int] = {}
+        locs, arrays = self.locs, self.arrays
         while self.at("locs") or self.at("array"):
             kind, val = self.next()
             if val == "locs":
@@ -567,28 +575,27 @@ class ImpParser:
             return CWhile(g, self.block())
         if val == "sample":
             self.next()
-            loc = self.next()[1]
+            loc = self.declared(self.next()[1], self.locs, "location")
             return CSample(loc, self.expr())
         if val == "nth_unused":
             self.next()
             self.expect("(")
-            arr = self.next()[1]
-            self.expect(",")
-            i_loc = self.next()[1]
-            self.expect(",")
-            tmp = self.next()[1]
-            self.expect(",")
-            valloc = self.next()[1]
+            names = [self.declared(self.next()[1], self.arrays, "array")]
+            for _ in range(3):
+                self.expect(",")
+                names.append(self.declared(self.next()[1], self.locs, "location"))
             self.expect(")")
-            return CNthUnused(arr, i_loc, tmp, valloc)
+            return CNthUnused(*names)
         if kind == "id":
             name = self.next()[1]
             if self.at("["):
+                self.declared(name, self.arrays, "array")
                 self.next()
                 idx = self.expr()
                 self.expect("]")
                 self.expect(":=")
                 return CAssign((name, idx), self.expr())
+            self.declared(name, self.locs, "location")
             self.expect(":=")
             return CAssign(name, self.expr())
         raise self.error(f"expected a command, got {val!r}", 0)
@@ -629,11 +636,12 @@ class ImpParser:
             return EUnif(e)
         if kind == "id":
             if self.at("["):
+                self.declared(val, self.arrays, "array")
                 self.next()
                 idx = self.expr()
                 self.expect("]")
                 return EIndex(val, idx)
-            return ERead(val)
+            return ERead(self.declared(val, self.locs, "location"))
         raise self.error(f"expected an expression, got {val!r}")
 
 

@@ -9,14 +9,19 @@ key and cyclic (coinductive) processes are finite graphs here.
 
     D'(x, y) = min{ d_label(x, y) + c * Kantorovich(D)(step x, step y), 1 }
 
-from D = 0, solving one exact transport LP per node pair per round.
-The iterates increase towards the distance in the final coalgebra.  A
-certified radius multiplies, per round, the worst contraction factor
-``c * q`` where q is the optimal coupling's mass on distinct,
-unsaturated pairs: pairs with D = 1 can no longer move, identical
-nodes never do.  For discount c < 1 this is at most c (Banach); at
-c = 1 convergence certification relies on the recursion mass actually
-contracting, and the iteration reports failure when it does not.
+from D = 0 towards the distance in the final coalgebra, solving one
+exact transport LP per distinct equal-label pair per round (a label
+mismatch is 1 without one).  Each pair's masses are scaled to ints
+once; each round puts every D on one power-of-two scale, so the simplex
+pivots on int costs.  The costs of live pairs carry a 2^-50 tie-break
+that stays in the optimum, so the value is not a lower bound: it lies
+within the radius of the distance on either side.  The radius
+multiplies, per round, the worst contraction factor ``c * q`` where q
+is the optimal coupling's mass on distinct, unsaturated pairs: pairs
+with D = 1 can no longer move, identical nodes never do.  For discount
+c < 1 this is at most c (Banach); at c = 1 convergence certification
+relies on the recursion mass actually contracting, and the iteration
+reports failure when its round budget runs out.
 
 ``bisimilarity_distance`` finds the same fixed point exactly for c < 1,
 by policy iteration over couplings (Tang and van Breugel, CONCUR 2016)
@@ -27,10 +32,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 from .grades import Grade
-from .transport import solve_transport
+from .transport import _scale_masses, _simplex, solve_transport
 from .values import Approx, VProc, VRef, deref
 
 
@@ -104,10 +109,6 @@ def _reachable_pairs(p: VProc, q: VProc) -> List[Tuple[VProc, VProc]]:
     return order
 
 
-def _label_distance(a: VProc, b: VProc) -> float:
-    return 0.0 if a.label == b.label else 1.0
-
-
 _PERT = Fraction(1, 2**50)
 
 
@@ -118,24 +119,32 @@ def behavioral_distance(
     a, b = _node(p), _node(q)
     if c.is_infinite or not Grade(0) < c:
         raise ProcessError(f"discount factor must lie in (0,1], got {c}")
+    if not tol >= 0:  # NaN fails this too
+        raise ProcessError(f"tol must be a non-negative number, got {tol}")
+    if not isinstance(max_rounds, int) or max_rounds < 1:
+        raise ProcessError(f"max_rounds must be a positive integer, got {max_rounds}")
     cf = float(c)
-    pairs = _reachable_pairs(a, b)
-    D: Dict[Tuple[int, int], float] = {(id(x), id(y)): 0.0 for x, y in pairs}
-    radius = 1.0
-    if all(id(x) == id(y) for x, y in pairs):
+    pairs = _reachable_pairs(a, b)  # the root pair (a, b) first
+    if all(x is y for x, y in pairs):
         return Approx(0.0, 0.0)
-    # The process graph is fixed: step data per distinct pair, built once.
+    index = {(id(x), id(y)): k for k, (x, y) in enumerate(pairs)}
+    distinct = [x is not y for x, y in pairs]
+    # The process graph is fixed: per distinct pair its scaled masses and
+    # successor pair indices, built once.  A label mismatch is at distance
+    # 1 whatever its transport costs, so it gets no LP (None).
     steps = []
-    for x, y in pairs:
-        if id(x) != id(y):
-            sx, sy = _step_nodes(x), _step_nodes(y)
-            steps.append((
-                (id(x), id(y)),
-                _label_distance(x, y),
-                [w for _, w in sx],
-                [w for _, w in sy],
-                [[(id(u), id(v)) for v, _ in sy] for u, _ in sx],
-            ))
+    for k, (x, y) in enumerate(pairs):
+        if x is y:
+            continue
+        if x.label != y.label:
+            steps.append((k, None))
+            continue
+        sx, sy = _step_nodes(x), _step_nodes(y)
+        rows, cols, sa, sb, ds = _scale_masses([w for _, w in sx], [w for _, w in sy])
+        succ = [[index[(id(sx[r][0]), id(sy[s][0]))] for s in cols] for r in rows]
+        steps.append((k, (sa, sb, ds, succ)))
+    D = [0.0] * len(pairs)
+    radius = 1.0
     rounds = 0
     slack = 0.0  # accumulated perturbation error
     while radius > tol:
@@ -145,31 +154,37 @@ def behavioral_distance(
                 "behavioral distance did not converge: recursion mass does "
                 "not contract at this discount"
             )
-        fresh: Dict[Tuple[int, int], float] = {key: 0.0 for key in D}  # diagonal: 0
+        # live successor pairs: distinct and not yet saturated.  A tiny
+        # perturbation _PERT of their cost steers ties towards couplings
+        # avoiding them, giving the sharpest certified factor.  Every cost
+        # is an int on the one scale 2^E of this round (D is dyadic).
+        live = [on and d < 1.0 for on, d in zip(distinct, D)]
+        ratios = [d.as_integer_ratio() for d in D]
+        e = max(50, max(den.bit_length() for _, den in ratios) - 1)
+        pert = 1 << (e - 50)
+        cost = [
+            (num << (e + 1 - den.bit_length())) + (pert if on else 0)
+            for (num, den), on in zip(ratios, live)
+        ]
+        fresh = [0.0] * len(pairs)  # diagonal: 0
         factor = 0.0
         any_active = False
-        for key, label, supplies, demands, succ in steps:
-            if D[key] >= 1.0:
-                fresh[key] = 1.0
+        for k, lp in steps:
+            if lp is None or D[k] >= 1.0:
+                fresh[k] = 1.0
                 continue
-            # live successor pairs: distinct and not yet saturated
-            live = [[k[0] != k[1] and D[k] < 1.0 for k in row] for row in succ]
-            # tiny perturbation steers ties towards couplings avoiding
-            # live pairs, giving the sharpest certified factor
-            costs = [
-                [Fraction(D[k]) + _PERT if on else D[k] for k, on in zip(row, live_row)]
-                for row, live_row in zip(succ, live)
-            ]
-            opt, flow = solve_transport(supplies, demands, costs)
-            value = min(label + cf * float(opt), 1.0)
-            fresh[key] = value
+            sa, sb, ds, succ = lp
+            total, flow = _simplex(sa, sb, [[cost[t] for t in row] for row in succ])
+            # int true division rounds correctly: float(Fraction(total, ds << e))
+            value = min(cf * (total / (ds << e)), 1.0)
+            fresh[k] = value
             if value >= 1.0:
                 continue
             any_active = True
             q_mass = 0.0
-            for (i, j), wgt in flow.items():
-                if live[i][j]:
-                    q_mass += float(wgt)
+            for (r, s), m in flow.items():
+                if live[succ[r][s]]:  # a zero cell adds 0.0
+                    q_mass += m / ds
             factor = max(factor, cf * min(q_mass, 1.0))
         converged_exactly = fresh == D
         D = fresh
@@ -182,7 +197,7 @@ def behavioral_distance(
             break
         radius = radius * factor + cf * float(_PERT)
         slack += cf * float(_PERT)
-    return Approx(D[(id(a), id(b))], min(radius, 1.0))
+    return Approx(D[0], min(radius, 1.0))
 
 
 def _policy_values(steps, policy, c: Fraction) -> List[Fraction]:

@@ -14,7 +14,10 @@ Two independent routes are provided:
   divided back to ``Fraction``s at the end.  Dantzig's entering rule
   switches to Bland's anti-cycling rule after a run of degenerate
   pivots, so it terminates and the optimum is exact.  The basic flow
-  doubles as the coupling witness.
+  doubles as the coupling witness.  It is :func:`_scale_masses`, cost
+  scaling and the one pivot loop :func:`_simplex`; a caller that solves
+  many LPs over the same masses (``processes.behavioral_distance``)
+  scales the masses once and calls the two steps itself.
 
 * :func:`brute_force_transport` -- enumerates every basic feasible
   solution (spanning trees of the complete bipartite graph) and takes
@@ -35,7 +38,7 @@ class TransportError(ValueError):
     pass
 
 
-def _validate(supplies, demands, costs) -> None:
+def _validate(supplies, demands, costs=None) -> None:
     if not supplies or not demands:
         raise TransportError("empty transportation instance")
     if any(a < 0 for a in supplies) or any(b < 0 for b in demands):
@@ -44,7 +47,9 @@ def _validate(supplies, demands, costs) -> None:
         raise TransportError(
             f"unbalanced instance: supply {sum(supplies)} != demand {sum(demands)}"
         )
-    if len(costs) != len(supplies) or any(len(row) != len(demands) for row in costs):
+    if costs is not None and (
+        len(costs) != len(supplies) or any(len(row) != len(demands) for row in costs)
+    ):
         raise TransportError("cost matrix shape mismatch")
 
 
@@ -54,6 +59,34 @@ def _ratios(values) -> List[Tuple[int, int]]:
         return [v.as_integer_ratio() for v in values]
     except AttributeError:
         return [Fraction(v).as_integer_ratio() for v in values]
+
+
+def _scale_masses(
+    supplies: Sequence[Fraction], demands: Sequence[Fraction]
+) -> Tuple[List[int], List[int], List[int], List[int], int]:
+    """Validated masses as ints over their common denominator ``ds``.
+
+    Returns ``(rows, cols, a, b, ds)``: the indices of the positive
+    supplies and demands (zero rows and columns carry no mass and are
+    dropped) and those masses times ``ds``.
+    """
+    sup = _ratios(supplies)
+    dem = _ratios(demands)
+    ds = lcm(*[d for _, d in sup], *[d for _, d in dem])
+    a_all = [p * (ds // d) for p, d in sup]
+    b_all = [p * (ds // d) for p, d in dem]
+    # _validate's mass checks on the scaled masses; _validate words the error
+    if (
+        not a_all
+        or not b_all
+        or min(a_all) < 0
+        or min(b_all) < 0
+        or sum(a_all) != sum(b_all)
+    ):
+        _validate([Fraction(p, d) for p, d in sup], [Fraction(p, d) for p, d in dem])
+    rows = [i for i, s in enumerate(a_all) if s > 0]
+    cols = [j for j, s in enumerate(b_all) if s > 0]
+    return rows, cols, [a_all[i] for i in rows], [b_all[j] for j in cols], ds
 
 
 def solve_transport(
@@ -72,36 +105,31 @@ def solve_transport(
     divided back once at the end.  Scaling by positive constants keeps
     every comparison, hence every pivot, of the rational simplex.
     """
-    sup = _ratios(supplies)
-    dem = _ratios(demands)
+    rows, cols, a, b, ds = _scale_masses(supplies, demands)
     cst = [_ratios(row) for row in costs]
-    ds = lcm(*[d for _, d in sup], *[d for _, d in dem])
-    a_all = [p * (ds // d) for p, d in sup]
-    b_all = [p * (ds // d) for p, d in dem]
-    # _validate's checks on the scaled masses; _validate words the error
-    if (
-        not a_all
-        or not b_all
-        or min(a_all) < 0
-        or min(b_all) < 0
-        or sum(a_all) != sum(b_all)
-        or len(cst) != len(a_all)
-        or any(len(row) != len(b_all) for row in cst)
-    ):
-        _validate(
-            [Fraction(p, d) for p, d in sup], [Fraction(p, d) for p, d in dem], cst
-        )
-
-    # Drop zero rows/columns; they carry no mass.
-    rows = [i for i, s in enumerate(a_all) if s > 0]
-    cols = [j for j, s in enumerate(b_all) if s > 0]
+    if len(cst) != len(supplies) or any(len(row) != len(demands) for row in cst):
+        raise TransportError("cost matrix shape mismatch")
     if not rows:
         return Fraction(0), {}
-    a = [a_all[i] for i in rows]
-    b = [b_all[j] for j in cols]
     kept = [[cst[i][j] for j in cols] for i in rows]
     dc = lcm(*{d for row in kept for _, d in row})
-    c = [[p * (dc // d) for p, d in row] for row in kept]
+    total, x = _simplex(a, b, [[p * (dc // d) for p, d in row] for row in kept])
+    flow: Flow = {
+        (rows[i], cols[j]): Fraction(q, ds) for (i, j), q in x.items() if q > 0
+    }
+    return Fraction(total, ds * dc), flow
+
+
+def _simplex(
+    a: List[int], b: List[int], c: List[List[int]]
+) -> Tuple[int, Dict[Tuple[int, int], int]]:
+    """The transportation simplex on positive int masses and int costs.
+
+    Returns the optimum and the final basic flow: its m + n - 1 cells
+    (zeros included) in insertion order.  Multiplying every cost by one
+    positive constant multiplies the optimum by it and keeps every
+    pivot, so the flow is the same.
+    """
     m, n = len(a), len(b)
 
     # Northwest-corner initial basis (m + n - 1 cells, zeros kept for
@@ -220,11 +248,7 @@ def solve_transport(
         pot[inner] = c[ei][ej] - pot[outer]
         hang(inner)
 
-    cost = Fraction(sum(q * c[i][j] for (i, j), q in x.items()), ds * dc)
-    flow: Flow = {
-        (rows[i], cols[j]): Fraction(q, ds) for (i, j), q in x.items() if q > 0
-    }
-    return cost, flow
+    return sum(q * c[i][j] for (i, j), q in x.items()), x
 
 
 def brute_force_transport(

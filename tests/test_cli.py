@@ -325,6 +325,22 @@ def test_imp_parse_error_reads_file_line_col(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "body, message",
+    [
+        ("locs l\nm := 3\n", "2:1: undeclared location m"),
+        ("locs l\narray a[2]\nl := 1;\nb[0] := l\n", "4:1: undeclared array b"),
+    ],
+)
+def test_imp_undeclared_name_reads_file_line_col(tmp_path, capsys, body, message):
+    left = tmp_path / "bad.imp"
+    left.write_text(body)
+    code, out = run_cli("hoare", "--left", str(left), "--right", SKIP_IMP,
+                        "--pre", "tt", "--post", "tt")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"{left}:{message}\n"
+
+
+@pytest.mark.parametrize(
     "pre, post, message",
     [
         ("s.zz == 0", "tt", "--pre: s.zz is neither a location nor an array"),

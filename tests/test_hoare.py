@@ -483,7 +483,25 @@ def test_parse_errors_carry_a_position(src, line, col, message):
     assert str(e.value) == f"{line}:{col}: {message}"
 
 
-def test_type_errors_carry_no_position():
+@pytest.mark.parametrize(
+    "src, line, col, message",
+    [
+        ("locs l\nm := 3", 2, 1, "undeclared location m"),
+        ("locs l\nl := l + m", 2, 10, "undeclared location m"),
+        ("locs l\nsample m unif(2)", 2, 8, "undeclared location m"),
+        ("locs l\nb[0] := 1", 2, 1, "undeclared array b"),
+        ("locs l\narray a[2]\nl := b[1]", 3, 6, "undeclared array b"),
+        ("locs i t v\narray a[2]\nnth_unused(a, i, t, w)", 3, 21, "undeclared location w"),
+        ("locs i t v\nnth_unused(a, i, t, v)", 2, 12, "undeclared array a"),
+    ],
+)
+def test_undeclared_names_carry_a_position(src, line, col, message):
     with pytest.raises(ImpError) as e:
-        parse_imp("locs l\nm := 3")
-    assert e.value.line is None and str(e.value) == "undeclared location m"
+        parse_imp(src)
+    assert str(e.value) == f"{line}:{col}: {message}"
+
+
+def test_other_type_errors_carry_no_position():
+    with pytest.raises(ImpError) as e:
+        parse_imp("locs l\nif 3 { skip } else { skip }")
+    assert e.value.line is None and str(e.value) == "guard must be boolean"

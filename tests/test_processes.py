@@ -332,3 +332,157 @@ def test_exact_distance_is_a_fixed_point_property():
             assert D[(id(x), id(y))] == min(label + c * step, 1)
 
     check()
+
+
+def _fraction_costs_behavioral(p, q, c, tol, max_rounds=100000):
+    """behavioral_distance as it was before costs went on one int scale
+    per round: Fraction costs through solve_transport, one LP per
+    distinct pair per round, label mismatches included."""
+    from qlog.processes import _PERT, _node, _step_nodes
+    from qlog.transport import solve_transport
+
+    a, b = _node(p), _node(q)
+    cf = float(c)
+    pairs = _reachable_pairs(a, b)
+    D = {(id(x), id(y)): 0.0 for x, y in pairs}
+    radius = 1.0
+    if all(id(x) == id(y) for x, y in pairs):
+        return Approx(0.0, 0.0)
+    steps = []
+    for x, y in pairs:
+        if id(x) != id(y):
+            sx, sy = _step_nodes(x), _step_nodes(y)
+            steps.append((
+                (id(x), id(y)),
+                0.0 if x.label == y.label else 1.0,
+                [w for _, w in sx],
+                [w for _, w in sy],
+                [[(id(u), id(v)) for v, _ in sy] for u, _ in sx],
+            ))
+    rounds = 0
+    slack = 0.0
+    while radius > tol:
+        rounds += 1
+        assert rounds <= max_rounds
+        fresh = {key: 0.0 for key in D}
+        factor = 0.0
+        any_active = False
+        for key, label, supplies, demands, succ in steps:
+            if D[key] >= 1.0:
+                fresh[key] = 1.0
+                continue
+            live = [[k[0] != k[1] and D[k] < 1.0 for k in row] for row in succ]
+            costs = [
+                [F(D[k]) + _PERT if on else D[k] for k, on in zip(row, live_row)]
+                for row, live_row in zip(succ, live)
+            ]
+            opt, flow = solve_transport(supplies, demands, costs)
+            value = min(label + cf * float(opt), 1.0)
+            fresh[key] = value
+            if value >= 1.0:
+                continue
+            any_active = True
+            q_mass = 0.0
+            for (i, j), wgt in flow.items():
+                if live[i][j]:
+                    q_mass += float(wgt)
+            factor = max(factor, cf * min(q_mass, 1.0))
+        converged_exactly = fresh == D
+        D = fresh
+        if not any_active:
+            radius = 0.0
+            break
+        if converged_exactly:
+            radius = min(radius, 1e-12 + slack)
+            break
+        radius = radius * factor + cf * float(_PERT)
+        slack += cf * float(_PERT)
+    return Approx(D[(id(a), id(b))], min(radius, 1.0))
+
+
+def _parity_cases():
+    for p, q, c in _corpus_pairs():
+        yield p, q, c, 1e-4
+    rng = random.Random(24)
+    for _ in range(24):
+        nodes = random_chain(rng, rng.randrange(1, 5), rng.randrange(1, 4))
+        p, q = nodes[0], rng.choice(nodes)
+        for c, tol in itertools.product((F(1, 2), F(9, 10)), (1e-4, 0.0)):
+            yield p, q, c, tol
+    _, _, vals = load("markov.qlog")
+    for tol in (1e-4, 0.0):
+        yield vals["m"].value, vals["n"].value, F(1), tol
+
+
+def test_behavioral_distance_matches_the_fraction_cost_iteration():
+    # One int scale per round, masses scaled once per pair and no LP for
+    # label mismatches change no pivot: value and radius are bit-identical.
+    for p, q, c, tol in _parity_cases():
+        got = behavioral_distance(None, p, q, Grade(c), tol)
+        want = _fraction_costs_behavioral(p, q, c, tol)
+        assert (got.value.hex(), got.radius.hex()) == (want.value.hex(), want.radius.hex())
+
+
+def test_label_mismatch_solves_no_lp(monkeypatch):
+    import qlog.processes as processes
+
+    calls = []
+
+    def counting(a, b, c):
+        calls.append(len(a) * len(b))
+        return real(a, b, c)
+
+    real = processes._simplex
+    monkeypatch.setattr(processes, "_simplex", counting)
+    a, b = VProc("A"), VProc("B")
+    a.step, b.step = dirac(a), dirac(b)
+    assert behavioral_distance(None, a, b, Grade(F(1, 2)), 0.0) == Approx(1.0, 0.0)
+    assert calls == []
+    # the counter does see LPs: an equal-label pair stepping to (a, b)
+    u, v = VProc("A", dirac(a)), VProc("A", dirac(b))
+    assert behavioral_distance(None, u, v, Grade(F(1, 2)), 0.0).value == 0.5
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "tol, max_rounds, message",
+    [
+        (math.nan, 100, "tol must be a non-negative number, got nan"),
+        (-1e-4, 100, "tol must be a non-negative number, got -0.0001"),
+        (1e-4, 0, "max_rounds must be a positive integer, got 0"),
+        (1e-4, -1, "max_rounds must be a positive integer, got -1"),
+        (1e-4, 2.5, "max_rounds must be a positive integer, got 2.5"),
+    ],
+)
+def test_behavioral_distance_rejects_nonsense_parameters(
+    monkeypatch, tol, max_rounds, message
+):
+    import qlog.processes as processes
+
+    def no_lp(a, b, c):
+        raise AssertionError("an LP ran before the parameters were checked")
+
+    monkeypatch.setattr(processes, "_simplex", no_lp)
+    _, ev, vals = load("coin_half.qlog")
+    with pytest.raises(ProcessError) as e:
+        behavioral_distance(
+            ev, vals["hd"].value, vals["hde"].value, Grade(F(1, 2)), tol, max_rounds
+        )
+    assert str(e.value) == message
+
+
+def test_behavioral_distance_at_tol_zero_terminates():
+    # max_rounds 10000 is far more than the numeric fixed point needs, so
+    # a run out of rounds would be a failure to stop, not a slow pass
+    _, ev, vals = load("coin_half.qlog")
+    for c in (F(1, 2), F(9, 10)):
+        d = behavioral_distance(
+            ev, vals["hd"].value, vals["hde"].value, Grade(c), 0.0, 10000
+        )
+        assert 0 < d.radius < 1e-9
+
+
+def test_exhausted_round_budget_keeps_its_message():
+    _, ev, vals = load("markov.qlog")
+    with pytest.raises(ProcessError, match="did not converge"):
+        behavioral_distance(ev, vals["m"].value, vals["n"].value, Grade(1), 0.0, 3)

@@ -3,6 +3,7 @@ with the Fraction simplex it replaced, and unchanged errors."""
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from qlog.transport import (
     Flow,
     TransportError,
+    _scale_masses,
+    _simplex,
     _validate,
     brute_force_transport,
     solve_transport,
@@ -291,6 +294,30 @@ def test_errors_unchanged(a, b, c, message):
     with pytest.raises(TransportError) as want:
         _fraction_simplex(a, b, c)
     assert str(got.value) == str(want.value) == message
+
+
+def test_kernel_on_scaled_masses_reproduces_solve_transport():
+    # the costs go on a scale of their own (every cell's denominator,
+    # dropped rows and columns included, times a power of two): a common
+    # positive factor changes no pivot, only the optimum by that factor
+    rng = random.Random(300)
+    for t in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        zeros = t % 2 == 1
+        a, b = _masses(rng, m, zeros), _masses(rng, n, zeros)
+        c = [[Fraction(x) for x in row]
+             for row in _costs(rng, m, n, ["ties", "negative", "random"][t % 3])]
+        opt, flow = solve_transport(a, b, c)
+        rows, cols, sa, sb, ds = _scale_masses(a, b)
+        assert rows == [i for i, w in enumerate(a) if w] and ds * sum(a) == sum(sa)
+        assert cols == [j for j, w in enumerate(b) if w] and sa == [a[i] * ds for i in rows]
+        scale = lcm(*(x.denominator for row in c for x in row)) << rng.randrange(8)
+        ic = [[int(c[i][j] * scale) for j in cols] for i in rows]
+        total, x = _simplex(sa, sb, ic)
+        assert len(x) == len(rows) + len(cols) - 1
+        assert Fraction(total, ds * scale) == opt
+        got = [((rows[i], cols[j]), Fraction(q, ds)) for (i, j), q in x.items() if q > 0]
+        assert got == list(flow.items())
 
 
 def test_non_finite_costs_rejected_as_before():
