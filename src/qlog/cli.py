@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ from .evaluator import EnumSpec, EvalConfig, Evaluator
 from .grades import Grade
 from .hoare import triple_value
 from .hypercube import hypercube_contraction_check
-from .imp import ImpError, Store, parse_imp
+from .imp import ImpError, Store, parse_imp, parse_store_pred
 from .logic import check_derivation, check_semantic, judgment_from_json, load_derivation_file
 from .parser import QlogSyntaxError, parse_file
 from .processes import ProcessError, behavioral_distance, bisimilarity_distance
@@ -271,106 +270,6 @@ def cmd_casestudy(args) -> int:
 
 # -- hoare triples on .imp programs ------------------------------------------
 
-_PRED_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<sv>[st])\.(?P<loc>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>==|<=|&&|\|\||tt|ff|\(|\)))"
-)
-
-
-def parse_store_pred(src: str):
-    """Tiny predicate language over store pairs:
-    atoms `s.loc`, `t.loc`, integers; comparisons ==, <=; && and ||;
-    constants tt/ff.  `s` is the left store, `t` the right; an array
-    name compares whole arrays."""
-    toks = []
-    pos = 0
-    while pos < len(src):
-        m = _PRED_TOKEN.match(src, pos)
-        if not m:
-            if src[pos:].strip():
-                raise ValueError(f"bad predicate near {src[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("num"):
-            toks.append(("num", int(m.group("num"))))
-        elif m.group("sv"):
-            toks.append(("read", (m.group("sv"), m.group("loc"))))
-        else:
-            toks.append(("op", m.group("op")))
-
-    def parse_or(i):
-        lhs, i = parse_and(i)
-        while i < len(toks) and toks[i] == ("op", "||"):
-            rhs, i = parse_and(i + 1)
-            l = lhs
-            lhs = (lambda a, b, l=l, r=rhs: min(l(a, b), r(a, b)))
-        return lhs, i
-
-    def parse_and(i):
-        lhs, i = parse_cmp(i)
-        while i < len(toks) and toks[i] == ("op", "&&"):
-            rhs, i = parse_cmp(i + 1)
-            l = lhs
-            lhs = (lambda a, b, l=l, r=rhs: max(l(a, b), r(a, b)))
-        return lhs, i
-
-    def tok(i):
-        if i >= len(toks):
-            raise ValueError("predicate ends too early")
-        return toks[i]
-
-    def atom(i):
-        kind, val = tok(i)
-        if kind == "num":
-            return (lambda a, b, v=val: v), i + 1
-        if kind == "read":
-            side, loc = val
-
-            def read(a, b, side=side, loc=loc):
-                store = a if side == "s" else b
-                if loc in store.slots:
-                    return store.get(loc)
-                arr = store.array(loc)
-                if not arr:
-                    raise ValueError(
-                        f"{side}.{loc} is neither a location nor an array of the store"
-                    )
-                return arr
-
-            return read, i + 1
-        if val == "(":
-            return group(i)
-        raise ValueError(f"bad predicate atom {val!r}")
-
-    def parse_cmp(i):
-        kind, val = tok(i)
-        if kind == "op" and val == "tt":
-            return (lambda a, b: 0.0), i + 1
-        if kind == "op" and val == "ff":
-            return (lambda a, b: 1.0), i + 1
-        if kind == "op" and val == "(":
-            return group(i)
-        lhs, i = atom(i)
-        op = tok(i)[1]
-        rhs, i = atom(i + 1)
-        if op == "==":
-            return (lambda a, b, l=lhs, r=rhs: 0.0 if l(a, b) == r(a, b) else 1.0), i
-        if op == "<=":
-            return (lambda a, b, l=lhs, r=rhs: 0.0 if l(a, b) <= r(a, b) else 1.0), i
-        raise ValueError(f"bad comparison {op!r}")
-
-    def group(i):
-        # a parenthesised boolean group
-        f, i = parse_or(i + 1)
-        if tok(i) != ("op", ")"):
-            raise ValueError("predicate is missing a ')'")
-        return f, i + 1
-
-    f, i = parse_or(0)
-    if i != len(toks):
-        raise ValueError("trailing predicate input")
-    return f
-
 
 def _store_from_json(prog, obj: dict) -> Store:
     if not isinstance(obj, dict):
@@ -391,8 +290,8 @@ def cmd_hoare(args) -> int:
         with open(path) as fh:
             try:
                 progs.append(parse_imp(fh.read()))
-            except ImpError as e:  # a parse error reads path:line:col: ...
-                return _usage_error(f"{path}{': ' if e.line is None else ':'}{e}")
+            except ImpError as e:
+                return _usage_error(_located(path, e))
     left, right = progs
     pairs = [(left.initial_store(), right.initial_store())]
     if args.stores:
@@ -412,8 +311,8 @@ def cmd_hoare(args) -> int:
             preds.append(parse_store_pred(text))
             for s, s2 in pairs:
                 preds[-1](s, s2)
-        except (ValueError, TypeError) as e:
-            return _usage_error(f"{flag}: {e}")
+        except (ValueError, TypeError) as e:  # TypeError: an array against a number
+            return _usage_error(_located(flag, e))
     res = triple_value(
         left, left.body, right, right.body, *preds, args.mode, pairs,
         max_iter=args.max_iter, tol=args.tol,
@@ -440,6 +339,11 @@ def cmd_suite(args) -> int:
 def _usage_error(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
+
+
+def _located(where: str, e: Exception) -> str:
+    """``where: message``, or ``where:line:col: message`` if ``e`` has a position."""
+    return f"{where}{':' if getattr(e, 'line', None) else ': '}{e}"
 
 
 def _int_at_least(low: int):

@@ -89,7 +89,6 @@ class EvalConfig:
     fuel: int = 30
     tol: float = 1e-6
     enums: EnumSpec = field(default_factory=EnumSpec)
-    probe_fuel: int = 8  # unfolding cap while probing lazy values
 
 
 class Evaluator:

@@ -141,7 +141,7 @@ class EIndex(Expr):
 
 @dataclass
 class EBin(Expr):
-    op: str  # + * - <= ==
+    op: str  # + * - <= == && ||
     left: Expr
     right: Expr
 
@@ -317,6 +317,10 @@ def eval_expr(prog: Program, store: Store, e: Expr):
             return a <= b
         if e.op == "==":
             return a == b
+        if e.op == "&&":
+            return a and b
+        if e.op == "||":
+            return a or b
     if isinstance(e, EUnif):
         hi = eval_expr(prog, store, e.bound)
         w = Fraction(1, hi + 1)
@@ -436,12 +440,12 @@ def _eval_while(prog, c: CWhile, store: Store, max_iter, tol, support_cap):
 
 
 # ---------------------------------------------------------------------------
-# Parser for .imp files
+# Parsers for .imp files and for predicates over store pairs
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<comment>--[^\n]*)|(?P<num>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>:=|<=|==|[-+*;{}()\[\],~]))"
+    r"|(?P<op>:=|<=|==|&&|\|\||[-+*;{}()\[\],~.]))"
 )
 
 
@@ -464,6 +468,8 @@ def _tokenize_imp(src: str) -> List[Tuple[str, str, int]]:
 
 
 class ImpParser:
+    END = "unexpected end of program"
+
     def __init__(self, src: str):
         self.src = src
         self.toks = _tokenize_imp(src)
@@ -481,7 +487,7 @@ class ImpParser:
     def next(self):
         t = self.peek()
         if t[0] is None:
-            raise self.error("unexpected end of program", 0)
+            raise self.error(self.END, 0)
         self.pos += 1
         return t
 
@@ -492,6 +498,10 @@ class ImpParser:
 
     def at(self, text):
         return self.peek()[1] == text
+
+    def end(self):
+        if self.peek()[0] is not None:
+            raise self.error(f"trailing input {self.peek()[1]!r}", 0)
 
     def declared(self, name: str, table, what: str) -> str:
         """``name``, the token just read, if the declarations name it."""
@@ -536,8 +546,7 @@ class ImpParser:
                 self.expect("]")
                 arrays[name] = size
         body = self.command()
-        if self.peek()[0] is not None:
-            raise self.error(f"trailing input {self.peek()[1]!r}", 0)
+        self.end()
         prog = Program(locs, arrays, body)
         check_cmd(prog, body)
         return prog
@@ -647,3 +656,88 @@ class ImpParser:
 
 def parse_imp(src: str) -> Program:
     return ImpParser(src).program()
+
+
+class _PredParser(ImpParser):
+    """Comparisons of ``expr`` over the reads ``s.name`` (left store) and
+    ``t.name`` (right store), ``tt``, ``ff``, ``&&`` (binding tighter),
+    ``||`` and parenthesised groups."""
+
+    END = "predicate ends too early"
+
+    def fail(self, what: str) -> ImpError:
+        got = self.peek()[1]
+        return self.error(f"{self.END}: {what}" if got is None else f"{what}, got {got!r}", 0)
+
+    def disj(self) -> Expr:
+        e = self.conj()
+        while self.at("||"):
+            self.next()
+            e = EBin("||", e, self.conj())
+        return e
+
+    def conj(self) -> Expr:
+        e = self.cmp()
+        while self.at("&&"):
+            self.next()
+            e = EBin("&&", e, self.cmp())
+        return e
+
+    def cmp(self) -> Expr:
+        if self.at("("):
+            return self.group()
+        if self.at("tt") or self.at("ff"):
+            return ENum(self.next()[1] == "tt")
+        e = self.expr()
+        if isinstance(e, EBin) and e.op in ("<=", "=="):
+            return e
+        raise self.fail("expected '<=' or '=='")
+
+    def group(self) -> Expr:
+        self.next()
+        e = self.disj()
+        if not self.at(")"):
+            raise self.fail("missing a ')'")
+        self.next()
+        return e
+
+    def atom(self) -> Expr:
+        kind, val = self.peek()
+        if val == "(":  # as a number, a group is its predicate value
+            return EBin("-", ENum(1.0), self.group())
+        if kind == "num":
+            return ENum(int(self.next()[1]))
+        if val in ("s", "t") and self._peek2() == ".":
+            self.pos += 2
+            kind, name = self.next()
+            if kind != "id":
+                raise self.error(f"expected a name after {val}., got {name!r}")
+            return ERead(f"{val}.{name}")
+        raise self.fail("expected s.name, t.name, a number or '('")
+
+
+class _StorePair:
+    """The reader a predicate is evaluated on: ``get("s.x")`` is location
+    x of the left store, or its whole array x; ``t.x`` reads the right."""
+
+    def __init__(self, s: Store, t: Store):
+        self.s, self.t = s, t
+
+    def get(self, key: str):
+        store = self.s if key[0] == "s" else self.t
+        name = key[2:]
+        if name in store.slots:
+            return store.get(name)
+        arr = store.array(name)
+        if not arr:
+            raise ImpError(f"{key} is neither a location nor an array of the store")
+        return arr
+
+
+def parse_store_pred(src: str):
+    """A predicate over store pairs as ``(s, t) -> 0.0`` where it holds,
+    else 1.0.  Names resolve against the stores when it is evaluated."""
+    parser = _PredParser(src)
+    e = parser.disj()
+    parser.end()
+    return lambda s, t: 0.0 if eval_expr(None, _StorePair(s, t), e) else 1.0

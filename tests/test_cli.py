@@ -357,6 +357,25 @@ def test_hoare_undeclared_predicate_location_is_rejected(pre, post, message, cap
     assert capsys.readouterr().err == message + " of the store\n"
 
 
+@pytest.mark.parametrize(
+    "pre, post, message",
+    [
+        ("s.l = 3", "tt", "--pre:1:5: bad character '='"),
+        ("s.l < 3", "tt", "--pre:1:5: bad character '<'"),
+        ("s.l == 3 && (t.l <= 2", "tt",
+         "--pre:1:22: predicate ends too early: missing a ')'"),
+        ("tt", "t.l == 0)", "--post:1:9: trailing input ')'"),
+    ],
+)
+def test_hoare_predicate_parse_error_reads_flag_line_col(pre, post, message, capsys):
+    code, out = run_cli(
+        "hoare", "--left", SKIP_IMP, "--right", SKIP_IMP,
+        "--pre", pre, "--post", post,
+    )
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == message + "\n"
+
+
 @pytest.mark.parametrize("credit", ["nan", "-1", "x", "inf"])
 def test_hoare_credit_must_be_a_non_negative_number(credit, capsys):
     # NaN and inf used to be echoed as "credit": NaN or Infinity, not JSON

@@ -1,6 +1,7 @@
 """Imperative language semantics, liftings, triples, error credits."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from qlog.imp import (
     eval_cmd,
     eval_expr,
     parse_imp,
+    parse_store_pred,
 )
 from qlog.measures import BOTTOM, Dist, dirac, kantorovich, total_variation
 
@@ -505,3 +507,188 @@ def test_other_type_errors_carry_no_position():
     with pytest.raises(ImpError) as e:
         parse_imp("locs l\nif 3 { skip } else { skip }")
     assert e.value.line is None and str(e.value) == "guard must be boolean"
+
+
+_OLD_PRED_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<sv>[st])\.(?P<loc>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>==|<=|&&|\|\||tt|ff|\(|\)))"
+)
+
+
+def _old_parse_store_pred(src: str):
+    """The predicate parser the command line had before predicates shared
+    the .imp grammar, kept unchanged as the reference for parity:
+    atoms `s.loc`, `t.loc`, integers; comparisons ==, <=; && and ||;
+    constants tt/ff.  `s` is the left store, `t` the right; an array
+    name compares whole arrays."""
+    toks = []
+    pos = 0
+    while pos < len(src):
+        m = _OLD_PRED_TOKEN.match(src, pos)
+        if not m:
+            if src[pos:].strip():
+                raise ValueError(f"bad predicate near {src[pos:]!r}")
+            break
+        pos = m.end()
+        if m.group("num"):
+            toks.append(("num", int(m.group("num"))))
+        elif m.group("sv"):
+            toks.append(("read", (m.group("sv"), m.group("loc"))))
+        else:
+            toks.append(("op", m.group("op")))
+
+    def parse_or(i):
+        lhs, i = parse_and(i)
+        while i < len(toks) and toks[i] == ("op", "||"):
+            rhs, i = parse_and(i + 1)
+            l = lhs
+            lhs = (lambda a, b, l=l, r=rhs: min(l(a, b), r(a, b)))
+        return lhs, i
+
+    def parse_and(i):
+        lhs, i = parse_cmp(i)
+        while i < len(toks) and toks[i] == ("op", "&&"):
+            rhs, i = parse_cmp(i + 1)
+            l = lhs
+            lhs = (lambda a, b, l=l, r=rhs: max(l(a, b), r(a, b)))
+        return lhs, i
+
+    def tok(i):
+        if i >= len(toks):
+            raise ValueError("predicate ends too early")
+        return toks[i]
+
+    def atom(i):
+        kind, val = tok(i)
+        if kind == "num":
+            return (lambda a, b, v=val: v), i + 1
+        if kind == "read":
+            side, loc = val
+
+            def read(a, b, side=side, loc=loc):
+                store = a if side == "s" else b
+                if loc in store.slots:
+                    return store.get(loc)
+                arr = store.array(loc)
+                if not arr:
+                    raise ValueError(
+                        f"{side}.{loc} is neither a location nor an array of the store"
+                    )
+                return arr
+
+            return read, i + 1
+        if val == "(":
+            return group(i)
+        raise ValueError(f"bad predicate atom {val!r}")
+
+    def parse_cmp(i):
+        kind, val = tok(i)
+        if kind == "op" and val == "tt":
+            return (lambda a, b: 0.0), i + 1
+        if kind == "op" and val == "ff":
+            return (lambda a, b: 1.0), i + 1
+        if kind == "op" and val == "(":
+            return group(i)
+        lhs, i = atom(i)
+        op = tok(i)[1]
+        rhs, i = atom(i + 1)
+        if op == "==":
+            return (lambda a, b, l=lhs, r=rhs: 0.0 if l(a, b) == r(a, b) else 1.0), i
+        if op == "<=":
+            return (lambda a, b, l=lhs, r=rhs: 0.0 if l(a, b) <= r(a, b) else 1.0), i
+        raise ValueError(f"bad comparison {op!r}")
+
+    def group(i):
+        # a parenthesised boolean group
+        f, i = parse_or(i + 1)
+        if tok(i) != ("op", ")"):
+            raise ValueError("predicate is missing a ')'")
+        return f, i + 1
+
+    f, i = parse_or(0)
+    if i != len(toks):
+        raise ValueError("trailing predicate input")
+    return f
+
+
+def _pred_store_pairs():
+    """36 pairs over one layout: locations l, m and an array arr[2]."""
+    stores = [
+        Store.of({"l": l, "m": 1, ("arr", 0): a, ("arr", 1): 1})
+        for l in range(3) for a in range(2)
+    ]
+    return [(s, t) for s in stores for t in stores]
+
+
+def _pred_outcome(pred, s, t):
+    try:
+        return pred(s, t)
+    except (ValueError, TypeError) as e:  # ImpError is a ValueError
+        return isinstance(e, TypeError), str(e)
+
+
+def _assert_pred_parity(src, must_accept):
+    """Where the reference parser accepts ``src``, the new one does too,
+    with the same value or the same error on every store pair; where
+    the new one rejects it, the error is an ImpError with a position."""
+    try:
+        old = _old_parse_store_pred(src)
+    except ValueError:
+        assert not must_accept, src
+        old = None
+    try:
+        new = parse_store_pred(src)
+    except ImpError as e:
+        assert old is None and e.line is not None, (src, str(e))
+        return
+    if old is not None:
+        for s, t in _pred_store_pairs():
+            assert _pred_outcome(new, s, t) == _pred_outcome(old, s, t), (src, s, t)
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["s.l == (t.l == 1)", "s.arr <= (tt)", "s.arr == t.arr || s.zz == 0",
+     "(s.l<=t.l)&&ff||tt", "s.l == 3tt", "((tt))", "s.arr <= 1"],
+)
+def test_predicates_keep_the_reference_semantics(src):
+    _assert_pred_parity(src, must_accept=False)
+
+
+def test_predicate_parity_property():
+    """Strings of the reference grammar, and soups of its tokens."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    reads = st.sampled_from(["s.l", "t.l", "s.m", "t.arr", "s.arr", "t.zz"])
+    nums = st.integers(0, 3).map(str)
+
+    def compare(right):  # a group is an operand on the right only
+        ops = st.sampled_from(["==", "<="])
+        return st.tuples(st.one_of(nums, reads), ops, right).map(" ".join)
+
+    preds = st.recursive(
+        st.one_of(st.sampled_from(["tt", "ff"]), compare(st.one_of(nums, reads))),
+        lambda inner: st.one_of(
+            inner.map("( {} )".format),
+            st.tuples(inner, st.sampled_from(["&&", "||"]), inner).map(" ".join),
+            compare(inner.map("( {} )".format)),
+        ),
+        max_leaves=6,
+    )
+    gaps = st.sampled_from([" ", "", "  "])
+    vocab = ["s.l", "t.arr", "s.zz", "0", "3", "==", "<=", "&&", "||", "tt", "ff",
+             "(", ")"]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(preds, gaps)
+    def grammar(src, gap):
+        _assert_pred_parity(src.replace(" ", gap), must_accept=True)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(st.sampled_from(vocab), max_size=10), gaps)
+    def soup(tokens, gap):
+        _assert_pred_parity(gap.join(tokens), must_accept=False)
+
+    grammar()
+    soup()

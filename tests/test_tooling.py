@@ -56,3 +56,34 @@ def test_every_binder_form_has_a_scope_row():
         assert names == set(bound) | {f for c, f in free_names if c is cls}, cls
         for _, body in scopes:
             assert hints[body] is T.Term, (cls, body)
+
+
+def test_no_unused_imports():
+    """Every name a module of the package imports is read in it, or is
+    re-exported through its ``__all__``."""
+    import ast
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "qlog")
+    unused = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{fname}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
