@@ -123,10 +123,10 @@ def behavioral_distance(
         raise ProcessError(f"tol must be a non-negative number, got {tol}")
     if not isinstance(max_rounds, int) or max_rounds < 1:
         raise ProcessError(f"max_rounds must be a positive integer, got {max_rounds}")
-    if a is b or a.label != b.label:  # the root's own pair fixes its distance
-        return Approx(0.0 if a is b else 1.0, 0.0)
     cf = float(c)
     pairs = _reachable_pairs(a, b)  # the root pair (a, b) first
+    if all(x is y for x, y in pairs):
+        return Approx(0.0, 0.0)
     index = {(id(x), id(y)): k for k, (x, y) in enumerate(pairs)}
     distinct = [x is not y for x, y in pairs]
     # The process graph is fixed: per distinct pair its scaled masses and
