@@ -43,17 +43,7 @@ def load_corpus_evaluator(name: str, fuel=60, tol=1e-4):
     ck = Checker(qfile.alphabets)
     enums = EnumSpec(json.load(open(corpus_path("enums", "default.json"))))
     ev = Evaluator(ck, EvalConfig(fuel=fuel, tol=tol, enums=enums))
-    env = {
-        nm: Approx(ev.canonical_seed(ty)) for nm, _, ty in qfile.ctx.bindings
-    }
-    values = {}
-    for nm, d in qfile.defs.items():
-        if d.declared_type is not None:
-            ck.check(qfile.ctx, d.term, d.declared_type)
-        else:
-            ck.synthesize(qfile.ctx.types(), d.term)
-        values[nm] = ev.eval(env, d.term)
-    return qfile, ck, ev, values
+    return qfile, ck, ev, ev.eval_defs(qfile)
 
 
 # -- 1 ---------------------------------------------------------------------

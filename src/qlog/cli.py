@@ -31,14 +31,16 @@ from .grades import Grade
 from .hoare import triple_value
 from .hypercube import hypercube_contraction_check
 from .imp import ImpError, Store, parse_imp, parse_store_pred
-from .logic import check_derivation, check_semantic, judgment_from_json, load_derivation_file
+from .logic import (
+    check_derivation, check_semantic, judgment_from_json, load_derivation_file, load_source,
+)
 from .parser import QlogSyntaxError, parse_file
 from .processes import ProcessError, behavioral_distance, bisimilarity_distance
 from .sampling import sample_envs
 from .td import random_mdp, random_vector, td_contraction_check
 from .terms import TProc
 from .typecheck import Checker, TypeCheckError
-from .values import Approx, value_to_json
+from .values import value_to_json
 
 SCHEMA = "qlog/1"
 
@@ -103,23 +105,14 @@ def cmd_check(args) -> int:
     return _report(args, {"files": reports}, "ok" if all_ok else "error")
 
 
-def _eval_def(args, name_attr="def_name"):
+def _eval_defs(args):
     qfile = _load_qlog(args.file)
-    ck = Checker(qfile.alphabets)
     ev = _evaluator(args, qfile.alphabets)
-    env = {nm: Approx(ev.canonical_seed(ty)) for nm, _, ty in qfile.ctx.bindings}
-    values = {}
-    for nm, d in qfile.defs.items():
-        if d.declared_type is not None:
-            ck.check(qfile.ctx, d.term, d.declared_type)
-        else:
-            ck.synthesize(qfile.ctx.types(), d.term)
-        values[nm] = ev.eval(env, d.term)
-    return qfile, ck, ev, values
+    return qfile, ev, ev.eval_defs(qfile)
 
 
 def cmd_eval(args) -> int:
-    qfile, ck, ev, values = _eval_def(args)
+    _, _, values = _eval_defs(args)
     if args.def_name not in values:
         print(f"no definition named {args.def_name}", file=sys.stderr)
         return 2
@@ -135,7 +128,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    qfile, ck, ev, values = _eval_def(args)
+    qfile, ev, values = _eval_defs(args)
     for nm in (args.left, args.right):
         if nm not in values:
             print(f"no definition named {nm}", file=sys.stderr)
@@ -150,7 +143,7 @@ def cmd_distance(args) -> int:
         d = distance(ev, lv.value, rv.value, ty.c, args.tol)
     else:
         if ty is None:
-            ty, _ = ck.synthesize(qfile.ctx.types(), qfile.defs[args.left].term)
+            ty, _ = ev.checker.synthesize(qfile.ctx.types(), qfile.defs[args.left].term)
         d = ev.distance_at(ty, lv.value, rv.value)
         d = d.widen(lv.radius + rv.radius)
     payload = {"left": args.left, "right": args.right,
@@ -174,13 +167,7 @@ def cmd_prove(args) -> int:
 def cmd_judge(args) -> int:
     with open(args.file) as fh:
         obj = json.load(fh)
-    qfile = None
-    if "source" in obj:
-        qfile = parse_file(obj["source"])
-    elif "source_file" in obj:
-        base = os.path.dirname(os.path.abspath(args.file))
-        with open(os.path.join(base, obj["source_file"])) as fh:
-            qfile = parse_file(fh.read())
+    qfile = load_source(obj, os.path.dirname(os.path.abspath(args.file)))
     jobj = obj.get("judgment") or obj.get("derivation", {}).get("judgment")
     if jobj is None:
         print("file carries no judgment", file=sys.stderr)

@@ -826,6 +826,20 @@ class Evaluator:
             radius = 0.0
         return Approx(VRef(thunk, ()), radius)
 
+    def eval_defs(self, qfile) -> Env:
+        """Check (or synthesize) and evaluate each definition of a parsed
+        .qlog file in order, with every ctx binding at its type's
+        canonical seed."""
+        env = {nm: Approx(self.canonical_seed(ty)) for nm, _, ty in qfile.ctx.bindings}
+        values = {}
+        for nm, d in qfile.defs.items():
+            if d.declared_type is not None:
+                self.checker.check(qfile.ctx, d.term, d.declared_type)
+            else:
+                self.checker.synthesize(qfile.ctx.types(), d.term)
+            values[nm] = self.eval(env, d.term)
+        return values
+
     @staticmethod
     def _contains_lolli(ty: T.Type) -> bool:
         if isinstance(ty, T.TLolli):

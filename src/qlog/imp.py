@@ -499,6 +499,14 @@ class ImpParser:
     def at(self, text):
         return self.peek()[1] == text
 
+    def number(self) -> int:
+        """The numeral token just read, as an int."""
+        val = self.toks[self.pos - 1][1]
+        try:
+            return int(val)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise self.error(f"number too long ({len(val)} digits)") from None
+
     def end(self):
         if self.peek()[0] is not None:
             raise self.error(f"trailing input {self.peek()[1]!r}", 0)
@@ -542,7 +550,7 @@ class ImpParser:
                 kind, size = self.next()
                 if kind != "num":
                     raise self.error(f"array size must be a number, got {size!r}")
-                size = int(size)
+                size = self.number()
                 self.expect("]")
                 arrays[name] = size
         body = self.command()
@@ -633,7 +641,7 @@ class ImpParser:
     def atom(self) -> Expr:
         kind, val = self.next()
         if kind == "num":
-            return ENum(int(val))
+            return ENum(self.number())
         if val == "(":
             e = self.expr()
             self.expect(")")
@@ -706,7 +714,8 @@ class _PredParser(ImpParser):
         if val == "(":  # as a number, a group is its predicate value
             return EBin("-", ENum(1.0), self.group())
         if kind == "num":
-            return ENum(int(self.next()[1]))
+            self.next()
+            return ENum(self.number())
         if val in ("s", "t") and self._peek2() == ".":
             self.pos += 2
             kind, name = self.next()

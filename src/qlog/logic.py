@@ -23,6 +23,7 @@ with terms and types in surface syntax; grades are strings such as
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -31,7 +32,7 @@ from .grades import Grade, INF, ONE, ZERO, oplus
 from .measures import Coupling, Dist, kantorovich
 from . import terms as T
 from .normalize import judgmental_equal, normal_form
-from .parser import QlogFile, parse_term, parse_type
+from .parser import QlogFile, parse_file, parse_term, parse_type
 from .typecheck import Checker, TypeCheckError
 from .values import Approx
 from .evaluator import Evaluator
@@ -93,21 +94,24 @@ def derivation_from_json(obj: dict, qfile: Optional[QlogFile] = None) -> Derivat
 def load_derivation_file(text: str, base_dir: Optional[str] = None):
     """Returns (qfile, derivation). The file may inline a `source`
     .qlog preamble or point at one with `source_file`."""
-    from .parser import parse_file
-    import os
-
     obj = json.loads(text)
-    qfile = None
+    qfile = load_source(obj, base_dir)
+    return qfile, derivation_from_json(obj["derivation"], qfile)
+
+
+def load_source(obj: dict, base_dir: Optional[str] = None):
+    """The parsed .qlog preamble of a derivation or judgment file: its
+    inline ``source``, or its ``source_file`` (relative to ``base_dir``
+    if given); None if it has neither."""
     if "source" in obj:
-        qfile = parse_file(obj["source"])
-    elif "source_file" in obj:
+        return parse_file(obj["source"])
+    if "source_file" in obj:
         path = obj["source_file"]
         if base_dir is not None:
             path = os.path.join(base_dir, path)
         with open(path, "r", encoding="utf-8") as fh:
-            qfile = parse_file(fh.read())
-    deriv = derivation_from_json(obj["derivation"], qfile)
-    return qfile, deriv
+            return parse_file(fh.read())
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ context.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .grades import Grade, INF, ONE
 from . import terms as T
@@ -191,7 +192,32 @@ class Parser:
         node.span = (tok.line, tok.col)
         return node
 
+    def _bracketed(self, read: Callable[[], Any]) -> Any:
+        """``read()`` inside ``[...]`` if the next token opens one, else None."""
+        if not self.at("["):
+            return None
+        self.next()
+        out = read()
+        self.expect("]")
+        return out
+
     # -- numbers -------------------------------------------------------
+
+    def _int(self, t: Token) -> int:
+        try:
+            return int(t.text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            msg = f"number too long ({len(t.text)} digits)"
+            raise QlogSyntaxError(msg, t.line, t.col) from None
+
+    def _nat(self, t: Token) -> int:
+        """The numeral ``t`` as a Nat, a chain of that many ``Succ`` nodes,
+        refused above the recursion limit since no pass could walk it."""
+        limit = sys.getrecursionlimit()
+        digits = t.text.lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise QlogSyntaxError("expression nested too deeply", t.line, t.col)
+        return int(digits or "0")
 
     def rational(self) -> Fraction:
         t = self.next()
@@ -202,12 +228,13 @@ class Parser:
             den = self.next()
             if den.kind != "num":
                 raise QlogSyntaxError("expected denominator", den.line, den.col)
-            return Fraction(int(t.text), int(den.text))
+            return Fraction(self._int(t), self._int(den))
         if self.at(".") and self.peek(1) is not None and self.peek(1).kind == "num":
             self.next()
             frac = self.next()
-            return Fraction(f"{t.text}.{frac.text}")
-        return Fraction(int(t.text))
+            scale = 10 ** len(frac.text)
+            return Fraction(self._int(t) * scale + self._int(frac), scale)
+        return Fraction(self._int(t))
 
     def grade(self) -> Grade:
         if self.at("inf"):
@@ -215,19 +242,19 @@ class Parser:
             return INF
         return Grade(self.rational())
 
+    def _grade_pair(self) -> Tuple[Grade, Grade]:
+        r = self.grade()
+        self.expect(",")
+        return r, self.grade()
+
     # -- types -----------------------------------------------------------
 
     def type_(self) -> T.Type:
         left = self._type_sum()
         if self.at("-o"):
             self.next()
-            r = ONE
-            if self.at("["):
-                self.next()
-                r = self.grade()
-                self.expect("]")
-            right = self.type_()
-            return T.TLolli(left, r, right)
+            r = self._bracketed(self.grade)
+            return T.TLolli(left, ONE if r is None else r, self.type_())
         return left
 
     def _type_sum(self) -> T.Type:
@@ -241,13 +268,7 @@ class Parser:
         left = self._type_prod()
         while self.at("*"):
             self.next()
-            r = s = ONE
-            if self.at("["):
-                self.next()
-                r = self.grade()
-                self.expect(",")
-                s = self.grade()
-                self.expect("]")
+            r, s = self._bracketed(self._grade_pair) or (ONE, ONE)
             left = T.TTensor(left, r, s, self._type_prod())
         return left
 
@@ -284,27 +305,60 @@ class Parser:
 
     # -- terms -----------------------------------------------------------
 
-    def term(self) -> T.Term:
+    def term(self, prec: int = 0) -> T.Term:
+        """A term whose infix operators bind at ``prec`` or tighter, by
+        precedence climbing over ``terms.INFIX``; binders are read only at
+        ``prec`` 0, where they extend as far right as possible."""
         t = self.peek()
         if t is None:
             raise self.err("expected a term")
+        if prec == 0 and t.text in ("fn", "fix", "let", "exists", "forall"):
+            return self._binder(t)
+        left = self._atom()
+        while self._starts_argument():  # application is juxtaposition
+            t = self.peek()
+            left = self._span(t, T.App(left, self._atom()))
+        limit = float("inf")
+        while (row := self._infix()) is not None and prec <= row[1] <= limit:
+            cls, p, assoc = row
+            t = self.next()
+            ann = {}
+            if cls is T.Mix:
+                self.next()
+                ann["p"] = self.rational()
+                self.expect(")")
+            elif cls is T.Eq:
+                ann["at_type"] = self._bracketed(self.type_)
+            right = self.term(p if assoc == "right" else p + 1)
+            left = self._span(t, cls(left=left, right=right, **ann))
+            # a right operand took every tighter operator; what follows
+            # joins at this level only if left-associative
+            limit = p if assoc == "left" else p - 1
+        return left
+
+    def _infix(self) -> Optional[tuple]:
+        """The ``terms.INFIX`` row of the operator at the next token."""
+        t = self.peek()
+        if t is None or t.kind != "punct":
+            return None
+        if t.text == "(":
+            return T.INFIX["(+"] if self.at("+", 1) else None
+        return T.INFIX.get(t.text)
+
+    def _binder(self, t: Token) -> T.Term:
+        self.next()
         if t.text == "fn":
-            self.next()
             name = self.ident()
             grade = None
             ty = None
             if self.at(":"):
                 self.next()
-                if self.at("["):
-                    self.next()
-                    grade = self.grade()
-                    self.expect("]")
+                grade = self._bracketed(self.grade)
                 ty = self.type_()
             self.expect(".")
             body = self.term()
             return self._span(t, T.Lam(name.text, body, ty, grade))
         if t.text == "fix":
-            self.next()
             name = self.ident()
             ty = None
             if self.at(":"):
@@ -314,7 +368,6 @@ class Parser:
             body = self.term()
             return self._span(t, T.Fix(name.text, body, ty))
         if t.text == "let":
-            self.next()
             if self.at("("):
                 self.next()
                 x = self.ident()
@@ -332,82 +385,16 @@ class Parser:
             self.expect("in")
             body = self.term()
             return self._span(t, T.LetSample(x.text, bound, body))
-        if t.text in ("exists", "forall"):
-            self.next()
-            name = self.ident()
-            self.expect(":")
-            ty = self.type_()
-            self.expect(".")
-            body = self.term()
-            cls = T.Exists if t.text == "exists" else T.Forall
-            return self._span(t, cls(name.text, ty, body))
-        return self._mix()
+        name = self.ident()
+        self.expect(":")
+        ty = self.type_()
+        self.expect(".")
+        body = self.term()
+        cls = T.Exists if t.text == "exists" else T.Forall
+        return self._span(t, cls(name.text, ty, body))
 
-    def _mix(self) -> T.Term:
-        left = self._wand()
-        while self.at("(") and self.at("+", 1):
-            t = self.next()
-            self.next()
-            p = self.rational()
-            self.expect(")")
-            right = self._wand()
-            left = self._span(t, T.Mix(p, left, right))
-        return left
-
-    def _wand(self) -> T.Term:
-        left = self._star()
-        if self.at("-*"):
-            t = self.next()
-            right = self._wand()
-            return self._span(t, T.WandT(left, right))
-        return left
-
-    def _star(self) -> T.Term:
-        left = self._disj()
-        while self.at("*"):
-            t = self.next()
-            left = self._span(t, T.Star(left, self._disj()))
-        return left
-
-    def _disj(self) -> T.Term:
-        left = self._conj()
-        while self.at("\\/"):
-            t = self.next()
-            left = self._span(t, T.Disj(left, self._conj()))
-        return left
-
-    def _conj(self) -> T.Term:
-        left = self._eq()
-        while self.at("/\\"):
-            t = self.next()
-            left = self._span(t, T.Conj(left, self._eq()))
-        return left
-
-    def _eq(self) -> T.Term:
-        left = self._app()
-        if self.at("=="):
-            t = self.next()
-            ty = None
-            if self.at("["):
-                self.next()
-                ty = self.type_()
-                self.expect("]")
-            right = self._app()
-            return self._span(t, T.Eq(left, right, ty))
-        return left
-
-    def _app(self) -> T.Term:
-        # Application is juxtaposition; arguments must be simple atoms
-        # (identifiers, literals, parenthesised terms, pairs).
-        head = self._atom()
-        while self._starts_argument():
-            t = self.peek()
-            head = T.App(head, self._atom())
-            head.span = (t.line, t.col)
-        return head
-
-    def _starts_argument(self) -> bool:
-        t = self.peek()
+    def _starts_argument(self, k: int = 0) -> bool:
+        t = self.peek(k)
         if t is None:
             return False
         if t.kind == "num":
@@ -415,96 +402,85 @@ class Parser:
         if t.kind == "ident":
             return t.text not in KEYWORDS or t.text in ("tt", "ff", "zero")
         if t.text == "(":
-            return not self.at("+", 1)
+            return not self.at("+", k + 1)
         return t.text == "<"
 
+    def _prefix(self, t: Token) -> Optional[Callable[[T.Term], T.Term]]:
+        """Read the prefix form at ``t`` and return the node it wraps its
+        operand in; None, reading nothing, if ``t`` starts none.  A bare
+        ``succ``, ``fst`` or ``snd`` is no prefix but a primary."""
+        if t.text in _PREFIX:
+            if t.text in ("succ", "fst", "snd") and not self._starts_argument(1):
+                return None
+            self.next()
+            return _PREFIX[t.text]
+        if t.text == "[":
+            r = self._bracketed(self.grade)
+            return lambda body: T.Scale(r, body)
+        if t.text in ("inj1", "inj2"):
+            self.next()
+            ty = self._bracketed(self.type_)
+            return lambda body: T.Inj(1 if t.text == "inj1" else 2, body, ty)
+        return None
+
     def _atom(self) -> T.Term:
-        t = self.peek()
-        if t is None:
-            raise self.err("expected a term")
+        """A chain of prefix forms, read in a loop, around one primary:
+        a nesting level costs two frames, this one and ``term``."""
+        prefixes = []
+        while True:
+            t = self.peek()
+            if t is None:
+                raise self.err("expected a term")
+            wrap = self._prefix(t)
+            if wrap is None:
+                break
+            prefixes.append((t, wrap))
         if t.kind == "num":
             self.next()
-            n = int(t.text)
             node: T.Term = T.Zero()
-            for _ in range(n):
+            for _ in range(self._nat(t)):
                 node = T.Succ(node)
-            return self._span(t, node)
-        if t.text == "(":
+            node = self._span(t, node)
+        elif t.text == "(":
             self.next()
             if self.at(")"):
                 self.next()
-                return self._span(t, T.Unit())
-            first = self.term()
-            if self.at(","):
-                self.next()
-                second = self.term()
-                self.expect(")")
-                r = s = None
-                if self.at("["):
+                node = self._span(t, T.Unit())
+            else:
+                node = self.term()
+                if self.at(","):
                     self.next()
-                    r = self.grade()
-                    self.expect(",")
-                    s = self.grade()
-                    self.expect("]")
-                return self._span(t, T.TensorPair(first, second, r, s))
-            self.expect(")")
-            return first
-        if t.text == "<":
+                    second = self.term()
+                    self.expect(")")
+                    r, s = self._bracketed(self._grade_pair) or (None, None)
+                    node = self._span(t, T.TensorPair(node, second, r, s))
+                else:
+                    self.expect(")")
+        elif t.text == "<":
             self.next()
             a = self.term()
             self.expect(",")
             b = self.term()
             self.expect(">")
-            return self._span(t, T.Pair(a, b))
-        if t.text == "[":
+            node = self._span(t, T.Pair(a, b))
+        elif t.text in ("tt", "ff", "zero"):
             self.next()
-            r = self.grade()
-            self.expect("]")
-            return self._span(t, T.Scale(r, self._atom()))
-        if t.text == "~":
+            node = self._span(t, {"tt": T.TT, "ff": T.FF, "zero": T.Zero}[t.text]())
+        elif t.text in ("succ", "fst", "snd"):  # bare reference, eta-expand
             self.next()
-            return self._span(t, T.Neg(self._atom()))
-        if t.text == "tt":
-            self.next()
-            return self._span(t, T.TT())
-        if t.text == "ff":
-            self.next()
-            return self._span(t, T.FF())
-        if t.text == "zero":
-            self.next()
-            return self._span(t, T.Zero())
-        if t.text == "succ":
-            self.next()
-            if not self._starts_argument():  # bare reference, eta-expand
-                a = T.fresh_name("a")
-                return self._span(t, T.Lam(a, T.Succ(T.Var(a)), T.TNat()))
-            return self._span(t, T.Succ(self._atom()))
-        if t.text == "delta":
+            a = T.fresh_name("a")
+            body = _PREFIX[t.text](T.Var(a))
+            ty = T.TNat() if t.text == "succ" else None
+            node = self._span(t, T.Lam(a, body, ty))
+        elif t.text == "delta":
             self.next()
             self.expect("(")
             body = self.term()
             self.expect(")")
-            return self._span(t, T.DiracTerm(body))
-        if t.text in ("fst", "snd"):
+            node = self._span(t, T.DiracTerm(body))
+        elif t.text == "case":
             self.next()
-            idx = 1 if t.text == "fst" else 2
-            if not self._starts_argument():  # bare reference, eta-expand
-                a = T.fresh_name("a")
-                return self._span(t, T.Lam(a, T.Proj(idx, T.Var(a))))
-            return self._span(t, T.Proj(idx, self._atom()))
-        if t.text in ("inj1", "inj2"):
-            self.next()
-            ty = None
-            if self.at("["):
-                self.next()
-                ty = self.type_()
-                self.expect("]")
-            return self._span(
-                t, T.Inj(1 if t.text == "inj1" else 2, self._atom(), ty)
-            )
-        if t.text == "case":
-            self.next()
-            scrut = self._mix()
+            scrut = self.term(1)
             self.expect("{")
             self.expect("inj1")
             x = self.ident()
@@ -516,8 +492,8 @@ class Parser:
             self.expect("=>")
             v = self.term()
             self.expect("}")
-            return self._span(t, T.Case(scrut, x.text, u, y.text, v))
-        if t.text == "rec":
+            node = self._span(t, T.Case(scrut, x.text, u, y.text, v))
+        elif t.text == "rec":
             self.next()
             self.expect("(")
             z = self.term()
@@ -529,19 +505,16 @@ class Parser:
             self.expect(";")
             n = self.term()
             self.expect(")")
-            return self._span(t, T.NatRec(z, x.text, y.text, s, n))
-        if t.text == "proc":
+            node = self._span(t, T.NatRec(z, x.text, y.text, s, n))
+        elif t.text == "proc":
             self.next()
             self.expect("(")
             lab = self.term()
             self.expect(",")
             step = self.term()
             self.expect(")")
-            return self._span(t, T.Fld(lab, step))
-        if t.text == "ufld":
-            self.next()
-            return self._span(t, T.Ufld(self._atom()))
-        if t.text == "map":
+            node = self._span(t, T.Fld(lab, step))
+        elif t.text == "map":
             self.next()
             self.expect("(")
             f = self.term()
@@ -549,25 +522,34 @@ class Parser:
             e = self.term()
             self.expect(")")
             a = T.fresh_name("a")
-            node = T.LetSample(a, e, T.DiracTerm(T.App(f, T.Var(a))))
-            return self._span(t, node)
-        if t.text == "kant":
+            node = self._span(t, T.LetSample(a, e, T.DiracTerm(T.App(f, T.Var(a)))))
+        elif t.text == "kant":
             self.next()
-            ty = None
-            if self.at("["):
-                self.next()
-                ty = self.type_()
-                self.expect("]")
+            ty = self._bracketed(self.type_)
             self.expect("(")
             mu = self.term()
             self.expect(",")
             nu = self.term()
             self.expect(")")
-            return self._span(t, make_kant(mu, nu, ty))
-        if t.kind == "ident" and t.text not in KEYWORDS:
+            node = self._span(t, make_kant(mu, nu, ty))
+        elif t.kind == "ident" and t.text not in KEYWORDS:
             self.next()
-            return self._span(t, T.Var(t.text))
-        raise QlogSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
+            node = self._span(t, T.Var(t.text))
+        else:
+            raise QlogSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
+        for t, wrap in reversed(prefixes):
+            node = self._span(t, wrap(node))
+        return node
+
+
+# the prefix forms that take a bare operand
+_PREFIX: Dict[str, Callable[[T.Term], T.Term]] = {
+    "succ": T.Succ,
+    "fst": lambda body: T.Proj(1, body),
+    "snd": lambda body: T.Proj(2, body),
+    "ufld": T.Ufld,
+    "~": T.Neg,
+}
 
 
 def make_kant(mu: T.Term, nu: T.Term, elem_type: Optional[T.Type]) -> T.Term:
@@ -584,10 +566,9 @@ def make_kant(mu: T.Term, nu: T.Term, elem_type: Optional[T.Type]) -> T.Term:
     y = T.fresh_name("y")
     a1 = T.fresh_name("a")
     a2 = T.fresh_name("a")
-    elem = elem_type if elem_type is not None else None
-    pair_ty = (
-        T.TTensor(elem, ONE, ONE, elem) if elem is not None else None
-    )
+    elem = elem_type
+    pair_ty = T.TTensor(elem, ONE, ONE, elem) if elem is not None else None
+    dist = T.TDist(elem) if elem is not None else None
     mean = T.LetSample(
         z,
         T.Var(om),
@@ -603,13 +584,7 @@ def make_kant(mu: T.Term, nu: T.Term, elem_type: Optional[T.Type]) -> T.Term:
         T.Var(om),
         T.DiracTerm(T.LetTensor(x, y, T.Var(a2), T.Var(y))),
     )
-    body = T.Star(
-        mean,
-        T.Star(
-            T.Eq(proj1, mu, T.TDist(elem) if elem is not None else None),
-            T.Eq(proj2, nu, T.TDist(elem) if elem is not None else None),
-        ),
-    )
+    body = T.Star(mean, T.Star(T.Eq(proj1, mu, dist), T.Eq(proj2, nu, dist)))
     return T.Exists(om, T.TDist(pair_ty) if pair_ty is not None else None, body)
 
 
@@ -658,36 +633,39 @@ def resolve_labels(term: T.Term, qfile: QlogFile) -> T.Term:
     return walk(term, frozenset())
 
 
+def _in_file(t: T.Term, qfile: QlogFile) -> T.Term:
+    """``t`` with its labels resolved and the file's defs spliced in, so
+    that it stands on its own."""
+    t = resolve_labels(t, qfile)
+    for name in reversed(list(qfile.defs)):
+        if name in T.free_vars(t):
+            t = T.substitute(t, name, qfile.defs[name].term)
+    return t
+
+
 def _guarded(p: Parser, parse: Callable[[], Any]) -> Any:
-    """Run ``parse``; input nested deeper than the Python stack allows
-    becomes a syntax error at the token the parser had reached."""
+    """Run ``parse``, which must read all of the input; input nested deeper
+    than the Python stack allows becomes a syntax error at the token the
+    parser had reached."""
     try:
-        return parse()
+        out = parse()
     except RecursionError:
         raise p.err("expression nested too deeply") from None
+    tok = p.peek()
+    if tok is not None:
+        raise QlogSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    return out
 
 
 def parse_term(src: str, qfile: Optional[QlogFile] = None) -> T.Term:
     p = Parser(src)
     t = _guarded(p, p.term)
-    if p.peek() is not None:
-        tok = p.peek()
-        raise QlogSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    if qfile is not None:
-        t = resolve_labels(t, qfile)
-        for name in reversed(list(qfile.defs)):
-            if name in T.free_vars(t):
-                t = T.substitute(t, name, qfile.defs[name].term)
-    return t
+    return t if qfile is None else _guarded(p, lambda: _in_file(t, qfile))
 
 
 def parse_type(src: str) -> T.Type:
     p = Parser(src)
-    ty = _guarded(p, p.type_)
-    if p.peek() is not None:
-        tok = p.peek()
-        raise QlogSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return ty
+    return _guarded(p, p.type_)
 
 
 def parse_file(src: str) -> QlogFile:
@@ -732,12 +710,7 @@ def _declarations(p: Parser) -> QlogFile:
                 p.next()
                 ty = p.type_()
             p.expect("=")
-            body = p.term()
-            body = resolve_labels(body, out)
-            # splice earlier definitions so each def is self-contained
-            for prev in reversed(list(out.defs)):
-                if prev in T.free_vars(body):
-                    body = T.substitute(body, prev, out.defs[prev].term)
+            body = _in_file(p.term(), out)
             if name in out.defs or name in out.ctx.names():
                 raise QlogSyntaxError(f"duplicate name {name}", t.line, t.col)
             if ty is not None:

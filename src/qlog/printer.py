@@ -5,8 +5,14 @@ from __future__ import annotations
 from .grades import ONE
 from . import terms as T
 
-# precedence levels, loose to tight
-_MIX, _WAND, _STAR, _DISJ, _CONJ, _EQ, _APP, _ATOM = range(1, 9)
+# precedence levels, loose to tight: binders at 0, the infix forms at
+# their terms.INFIX precedence from 1, then application; a keyword-led
+# primary (case, delta, rec, proc) may head an application but only an
+# _ARG may be its argument, or the operand of succ, fst and snd
+_OPS = {cls: (tok, prec, assoc) for tok, (cls, prec, assoc) in T.INFIX.items()}
+_APP = 1 + max(prec for _, prec, _ in _OPS.values())
+_ATOM = _APP + 1
+_ARG = _ATOM + 1
 
 
 def print_type(ty: T.Type) -> str:
@@ -21,26 +27,35 @@ def _p(t: T.Term, level: int) -> str:
 
 
 def _render(t: T.Term):
-    if isinstance(t, T.Var):
-        return t.name, _ATOM
-    if isinstance(t, T.Label):
-        return t.name, _ATOM
+    if type(t) in _OPS:
+        tok, prec, assoc = _OPS[type(t)]
+        if isinstance(t, T.Mix):
+            tok = f"(+ {t.p})"
+        elif isinstance(t, T.Eq) and t.at_type is not None:
+            tok = f"==[{t.at_type}]"
+        left = _p(t.left, prec if assoc == "left" else prec + 1)
+        right = _p(t.right, prec if assoc == "right" else prec + 1)
+        if tok == "==" and right.startswith("["):  # not "==[type]"
+            right = f"({right})"
+        return f"{left} {tok} {right}", prec
+    if isinstance(t, (T.Var, T.Label)):
+        return t.name, _ARG
     if isinstance(t, T.Unit):
-        return "()", _ATOM
+        return "()", _ARG
     if isinstance(t, T.Zero):
-        return "0", _ATOM
+        return "0", _ARG
     if isinstance(t, T.Succ):
         # compress literal numerals
         n, body = 0, t
         while isinstance(body, T.Succ):
             n, body = n + 1, body.body
         if isinstance(body, T.Zero):
-            return str(n), _ATOM
-        return f"succ {_p(t.body, _ATOM)}", _APP
+            return str(n), _ARG
+        return f"succ {_p(t.body, _ARG)}", _APP
     if isinstance(t, T.TT):
-        return "tt", _ATOM
+        return "tt", _ARG
     if isinstance(t, T.FF):
-        return "ff", _ATOM
+        return "ff", _ARG
     if isinstance(t, T.Lam):
         ann = ""
         if t.arg_type is not None:
@@ -51,10 +66,10 @@ def _render(t: T.Term):
         ann = f" : {t.fix_type}" if t.fix_type is not None else ""
         return f"fix {t.name}{ann}. {_p(t.body, 0)}", 0
     if isinstance(t, T.LetSample):
-        return f"let {t.name} = {_p(t.bound, _MIX)} in {_p(t.body, 0)}", 0
+        return f"let {t.name} = {_p(t.bound, 1)} in {_p(t.body, 0)}", 0
     if isinstance(t, T.LetTensor):
         return (
-            f"let ({t.left_name}, {t.right_name}) = {_p(t.bound, _MIX)} "
+            f"let ({t.left_name}, {t.right_name}) = {_p(t.bound, 1)} "
             f"in {_p(t.body, 0)}",
             0,
         )
@@ -62,37 +77,24 @@ def _render(t: T.Term):
         return f"exists {t.name} : {t.var_type}. {_p(t.body, 0)}", 0
     if isinstance(t, T.Forall):
         return f"forall {t.name} : {t.var_type}. {_p(t.body, 0)}", 0
-    if isinstance(t, T.Mix):
-        return f"{_p(t.left, _MIX)} (+ {t.p}) {_p(t.right, _WAND)}", _MIX
-    if isinstance(t, T.WandT):
-        return f"{_p(t.left, _STAR)} -* {_p(t.right, _WAND)}", _WAND
-    if isinstance(t, T.Star):
-        return f"{_p(t.left, _STAR)} * {_p(t.right, _DISJ)}", _STAR
-    if isinstance(t, T.Disj):
-        return f"{_p(t.left, _DISJ)} \\/ {_p(t.right, _CONJ)}", _DISJ
-    if isinstance(t, T.Conj):
-        return f"{_p(t.left, _CONJ)} /\\ {_p(t.right, _EQ)}", _CONJ
-    if isinstance(t, T.Eq):
-        ann = f"[{t.at_type}]" if t.at_type is not None else ""
-        return f"{_p(t.left, _APP)} =={ann} {_p(t.right, _APP)}", _EQ
     if isinstance(t, T.App):
-        return f"{_p(t.fn, _APP)} {_p(t.arg, _ATOM)}", _APP
+        return f"{_p(t.fn, _APP)} {_p(t.arg, _ARG)}", _APP
     if isinstance(t, T.Pair):
-        return f"<{_p(t.left, 0)}, {_p(t.right, 0)}>", _ATOM
+        return f"<{_p(t.left, 0)}, {_p(t.right, 0)}>", _ARG
     if isinstance(t, T.TensorPair):
         g = ""
         if t.r is not None and not (t.r == ONE and t.s == ONE):
             g = f"[{t.r},{t.s}]"
-        return f"({_p(t.left, 0)}, {_p(t.right, 0)}){g}", _ATOM
+        return f"({_p(t.left, 0)}, {_p(t.right, 0)}){g}", _ARG
     if isinstance(t, T.Proj):
         kw = "fst" if t.index == 1 else "snd"
-        return f"{kw} {_p(t.body, _ATOM)}", _APP
+        return f"{kw} {_p(t.body, _ARG)}", _APP
     if isinstance(t, T.Inj):
         ann = f"[{t.sum_type}]" if t.sum_type is not None else ""
         return f"inj{t.index}{ann} {_p(t.body, _ATOM)}", _APP
     if isinstance(t, T.Case):
         return (
-            f"case {_p(t.scrut, _MIX)} {{ inj1 {t.left_name} => {_p(t.left_body, 0)}"
+            f"case {_p(t.scrut, 1)} {{ inj1 {t.left_name} => {_p(t.left_body, 0)}"
             f" | inj2 {t.right_name} => {_p(t.right_body, 0)} }}",
             _ATOM,
         )

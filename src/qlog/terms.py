@@ -9,7 +9,9 @@ The binding structure lives in one table, ``SCOPES``: for every binder
 form, which name fields bind over which body field.  Free variables,
 capture-avoiding substitution, alpha-equivalence keys (de Bruijn-style
 binder numbering) and the parser's label resolution each read it, so a
-new binder form needs one row there.
+new binder form needs one row there.  Likewise ``INFIX`` holds the
+precedence and associativity of the six binary forms, for the parser and
+the printer alike.
 """
 
 from __future__ import annotations
@@ -364,6 +366,18 @@ SCOPES: Dict[type, Tuple[Tuple[Tuple[str, ...], str], ...]] = {
     LetTensor: ((("left_name", "right_name"), "body"),),
     Case: ((("left_name",), "left_body"), (("right_name",), "right_body")),
     NatRec: ((("prev_name", "index_name"), "succ_case"),),
+}
+
+
+# infix token -> (node class, precedence, associativity); 1 binds
+# loosest.  "none" does not chain: ``a == b == c`` is an error.
+INFIX: Dict[str, Tuple[type, int, str]] = {
+    "(+": (Mix, 1, "left"),  # spelled "(+ p)"
+    "-*": (WandT, 2, "right"),
+    "*": (Star, 3, "left"),
+    "\\/": (Disj, 4, "left"),
+    "/\\": (Conj, 5, "left"),
+    "==": (Eq, 6, "none"),  # spelled "==" or "==[type]"
 }
 
 

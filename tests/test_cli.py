@@ -148,6 +148,56 @@ def test_deep_nesting_exits_2_with_position(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "body, value",
+    [("succ(" * 300 + "zero" + ")" * 300, 300), ("(" * 300 + "tt" + ")" * 300, 0.0)],
+)
+def test_300_levels_check_and_evaluate(tmp_path, body, value):
+    assert sys.getrecursionlimit() == 1000
+    src = tmp_path / "deep.qlog"
+    src.write_text(f"def x = {body}\n")
+    code, out = run_cli("check", str(src), "--format", "json")
+    assert code == 0, out
+    code, out = run_cli("eval", str(src), "--def", "x", "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("def x : Nat = 2000\n", "1:15: expression nested too deeply\n"),
+        ("def x : Nat = " + "9" * 5000 + "\n", "1:15: expression nested too deeply\n"),
+        ("def x = delta(0) (+ 1/" + "9" * 5000 + ") delta(1)\n",
+         "1:23: number too long (5000 digits)\n"),
+        ("def x = [0." + "9" * 5000 + "] tt\n", "1:12: number too long (5000 digits)\n"),
+    ],
+)
+def test_long_numerals_are_positioned_usage_errors(tmp_path, capsys, body, message):
+    src = tmp_path / "big.qlog"
+    src.write_text(body)
+    code, out = run_cli("check", str(src))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "body, pre, where",
+    [
+        ("locs l\nl := " + "7" * 5000 + "\n", "tt", "{left}:2:6"),
+        ("array a[" + "7" * 5000 + "]\nskip\n", "tt", "{left}:1:9"),
+        ("locs l\nskip\n", "s.l == " + "7" * 5000, "--pre:1:8"),
+    ],
+)
+def test_long_imp_numerals_are_positioned_usage_errors(tmp_path, capsys, body, pre, where):
+    left = tmp_path / "big.imp"
+    left.write_text(body)
+    code, out = run_cli("hoare", "--left", str(left), "--right", SKIP_IMP,
+                        "--pre", pre, "--post", "tt")
+    assert (code, out) == (2, "")
+    where = where.format(left=left)
+    assert capsys.readouterr().err == f"{where}: number too long (5000 digits)\n"
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ("--fuel", "-5"),

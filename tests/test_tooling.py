@@ -1,4 +1,4 @@
-"""Tables that tooling and traversals rely on stay complete.
+"""Tables that tooling, traversals and the surface syntax rely on stay complete.
 
 The benchmark tracer's targets exist on the package it traces.
 
@@ -56,6 +56,25 @@ def test_every_binder_form_has_a_scope_row():
         assert names == set(bound) | {f for c, f in free_names if c is cls}, cls
         for _, body in scopes:
             assert hints[body] is T.Term, (cls, body)
+
+
+def test_every_binary_form_has_an_infix_row():
+    """A term form whose Term fields are exactly ``left`` and ``right`` is
+    printed and parsed through its ``terms.INFIX`` row, unless it is one
+    of the two bracketed pairs; every row names such a form."""
+    from qlog import terms as T
+
+    bracketed = {T.Pair, T.TensorPair}
+    binary = set()
+    for cls in T.Term.__subclasses__():
+        hints = typing.get_type_hints(cls)
+        terms = {f.name for f in dataclasses.fields(cls) if hints[f.name] is T.Term}
+        if terms == {"left", "right"}:
+            binary.add(cls)
+    rows = [cls for cls, _, _ in T.INFIX.values()]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == binary - bracketed
+    assert all(assoc in ("left", "right", "none") for _, _, assoc in T.INFIX.values())
 
 
 def test_no_unused_imports():
