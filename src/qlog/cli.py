@@ -233,7 +233,10 @@ def cmd_casestudy(args) -> int:
             return _usage_error(f"casestudy td: {e}")
         v = random_vector(args.seed * 2 + 1, 3)
         w = random_vector(args.seed * 2 + 2, 3)
-        rep = td_contraction_check(mdp, v, w, args.n, tol=args.tol)
+        try:
+            rep = td_contraction_check(mdp, v, w, args.n, tol=args.tol)
+        except ValueError as e:  # the support outgrew support_cap
+            return _usage_error(f"casestudy td: {e}")
         return _report(args, rep.to_json(), "ok" if rep.ok else "error")
     if name == "hypercube":
         rep = hypercube_contraction_check(args.n)

@@ -22,8 +22,11 @@ no flow); the costs of ``BOTTOM`` come from :func:`lift_relation`.
 
 Support order.  Points with equal :func:`key_of` keys are merged; the
 merged points are sorted by the string ``_sort_token(key_of(v))`` of
-their first-seen value, ties kept in first-seen order.  A merged
-support of fewer than 2 points has one order and builds no token.  The
+their first-seen value, ties kept in first-seen order.  Both
+constructors, :meth:`Dist.from_pairs` (which merges) and
+``Dist._from_merged`` (given merged points with int masses), sort with
+the one helper ``_sort_support``.  A merged support of fewer than 2
+points has one order and builds no token.  The
 token spells the key structurally: a tuple is ``"("`` + its components'
 tokens joined by ``","`` + ``")"``, a non-bool int is zero-padded to 24
 places, anything else is its ``repr``.  Floats therefore sort by their
@@ -151,6 +154,14 @@ def _order_token(v: Any, floats: Dict[float, str]) -> str:
     return _sort_token(key_of(v))
 
 
+def _sort_support(points: List[Any]) -> None:
+    """Sort merged ``(value, weight)`` points into support order, in
+    place: by the token of each value, ties in their given order."""
+    if len(points) > 1:
+        floats: Dict[float, str] = {}
+        points.sort(key=lambda p: _order_token(p[0], floats))
+
+
 def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
     """Exact sum, accumulated as an integer over a common denominator."""
     num, den = 0, 1
@@ -195,17 +206,32 @@ class Dist:
             else:
                 entry[1] += w
         entries = list(merged.values())
-        order = range(len(entries))
-        if len(entries) > 1:
-            floats: Dict[float, str] = {}
-            tokens = [_order_token(v, floats) for v, _ in entries]
-            order = sorted(order, key=tokens.__getitem__)
-        pts = tuple([(entries[i][0], entries[i][1]) for i in order])
+        _sort_support(entries)
+        pts = tuple([(v, w) for v, w in entries])
         d = Dist(pts, _as_weight(residual_div), _as_weight(residual_approx))
         total = d.mass + d.residual_div + d.residual_approx
         if total != 1:
             raise ValueError(f"total mass {total} != 1")
         return d
+
+    @staticmethod
+    def _from_merged(points: Iterable[Tuple[Any, int]], den: int) -> "Dist":
+        """A full distribution from already-merged points, each mass an
+        int over the one denominator ``den``.
+
+        The caller guarantees that no two values have equal
+        :func:`key_of` keys; the masses are checked in ints.
+        """
+        pts = list(points)
+        total = 0
+        for v, m in pts:
+            if m <= 0:
+                raise ValueError(f"non-positive weight {m}/{den} at {v!r}")
+            total += m
+        if total != den:
+            raise ValueError(f"total mass {Fraction(total, den)} != 1")
+        _sort_support(pts)
+        return Dist(tuple([(v, Fraction(m, den)) for v, m in pts]))
 
     # -- basic views ---------------------------------------------------
 

@@ -228,7 +228,10 @@ class Parser:
             den = self.next()
             if den.kind != "num":
                 raise QlogSyntaxError("expected denominator", den.line, den.col)
-            return Fraction(self._int(t), self._int(den))
+            num, d = self._int(t), self._int(den)
+            if not d:
+                raise QlogSyntaxError("zero denominator", den.line, den.col)
+            return Fraction(num, d)
         if self.at(".") and self.peek(1) is not None and self.peek(1).kind == "num":
             self.next()
             frac = self.next()

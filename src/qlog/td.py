@@ -23,10 +23,20 @@ W) <= lp_cap**2, counted over the support of the paired distribution,
 and only then are the marginal measures of V and W built.  Each
 support point is a distinct (V, W) pair, so a support larger than
 lp_cap**2 decides the coupling route without counting.
+
+Masses.  A step keeps every mass as a Python int over one denominator:
+the input's common denominator times the product of the branch
+tables' denominators.  Paths are merged in a dict keyed by the raw
+(V, W) tuple, whose equality on all-float tuples is ``key_of``
+equality, and the step's ``Dist`` is built once from the merged points
+(``Dist._from_merged``), with one ``Fraction`` per point.  The support
+cap is checked on the merged count, before anything is sorted.
+``td_step`` is the V half of the paired step from (v, v).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,27 +72,19 @@ class MDP:
         return 1 - self.alpha + self.gamma * self.alpha
 
 
-def _branch_table(mdp: MDP, i: int) -> List[Tuple[float, int, Fraction]]:
-    """``(reward, successor, probability)`` for every branch at state i,
-    in policy, reward, transition order."""
-    return [
-        (float(r), j, wa * wr * wj)
+def _branch_table(mdp: MDP, i: int) -> Tuple[List[Tuple[float, int, int]], int]:
+    """``(reward, successor, mass)`` for every branch at state i, in
+    policy, reward, transition order, each mass an int over the
+    returned denominator."""
+    rows = [
+        (float(r), j, wa.numerator * wr.numerator * wj.numerator,
+         wa.denominator * wr.denominator * wj.denominator)
         for a, wa in mdp.policy[i].points
         for r, wr in mdp.reward[(i, a)].points
         for j, wj in mdp.transition[(a, i)].points
     ]
-
-
-def _state_branches(mdp: MDP, i: int, vi: float, v: Tuple[float, ...]) -> Dist:
-    """Distribution of the updated value at state i."""
-    alpha = float(mdp.alpha)
-    gamma = float(mdp.gamma)
-    return Dist.from_pairs(
-        [
-            ((1 - alpha) * vi + alpha * min(r + gamma * v[j], 1.0), q)
-            for r, j, q in _branch_table(mdp, i)
-        ]
-    )
+    den = math.lcm(*[d for _, _, _, d in rows])
+    return [(r, j, q * (den // d)) for r, j, q, d in rows], den
 
 
 def _check_vector(mdp: MDP, v: Tuple[float, ...]) -> None:
@@ -94,34 +96,26 @@ def _check_vector(mdp: MDP, v: Tuple[float, ...]) -> None:
         raise ValueError("value entries must lie in [0,1]")
 
 
-def td_step(mdp: MDP, v: Tuple[float, ...]) -> Dist:
-    """Exact one-step distribution over updated value vectors."""
-    _check_vector(mdp, v)
-    acc = dirac(())
-    for i in range(mdp.n_states):
-        branch = _state_branches(mdp, i, v[i], v)
-        acc = Dist.from_pairs(
-            [
-                (vec + (x,), w1 * w2)
-                for vec, w1 in acc.points
-                for x, w2 in branch.points
-            ]
-        )
-    return acc
-
-
-def d_max(v: Tuple[float, ...], w: Tuple[float, ...]) -> float:
-    return max((abs(a - b) for a, b in zip(v, w)), default=0.0)
-
-
-def _paired_step(mdp: MDP, pair_dist: Dist) -> Dist:
-    """Advance a distribution over (V, W) pairs on shared randomness."""
+def _paired_masses(
+    mdp: MDP, pair_dist: Dist
+) -> Tuple[Dict[Tuple[tuple, tuple], int], int]:
+    """Advance a distribution over (V, W) pairs on shared randomness:
+    the merged updated pairs, with int masses over the returned
+    denominator (see Masses above)."""
     alpha = float(mdp.alpha)
     gamma = float(mdp.gamma)
-    tables = [_branch_table(mdp, i) for i in range(mdp.n_states)]
-    out: List[Tuple[Tuple[tuple, tuple], Fraction]] = []
+    scale = math.lcm(*[q.denominator for _, q in pair_dist.points])
+    tables, den = [], scale
+    for i in range(mdp.n_states):
+        table, d = _branch_table(mdp, i)
+        tables.append(table)
+        den *= d
+    merged: Dict[Tuple[tuple, tuple], int] = {}
+    get = merged.get
     for (v, w), mass in pair_dist.points:
-        branches: List[Tuple[tuple, tuple, Fraction]] = [((), (), mass)]
+        branches: List[Tuple[tuple, tuple, int]] = [
+            ((), (), mass.numerator * (scale // mass.denominator))
+        ]
         for i, table in enumerate(tables):
             keep_v = (1 - alpha) * v[i]
             keep_w = (1 - alpha) * w[i]
@@ -138,8 +132,23 @@ def _paired_step(mdp: MDP, pair_dist: Dist) -> Dist:
                 for pv, pw, m0 in branches
                 for uv, uw, q in updates
             ]
-        out.extend(((pv, pw), m) for pv, pw, m in branches)
-    return Dist.from_pairs(out)
+        # on all-float tuples, tuple equality is key_of equality
+        for pv, pw, m in branches:
+            key = (pv, pw)
+            merged[key] = get(key, 0) + m
+    return merged, den
+
+
+def td_step(mdp: MDP, v: Tuple[float, ...]) -> Dist:
+    """Exact one-step distribution over updated value vectors: the V
+    half of the paired step from (v, v)."""
+    _check_vector(mdp, v)
+    merged, den = _paired_masses(mdp, dirac((v, v)))
+    return Dist._from_merged([(pv, m) for (pv, _), m in merged.items()], den)
+
+
+def d_max(v: Tuple[float, ...], w: Tuple[float, ...]) -> float:
+    return max((abs(a - b) for a, b in zip(v, w)), default=0.0)
 
 
 @dataclass
@@ -180,11 +189,10 @@ def td_contraction_check(
     pairs = dirac((tuple(v), tuple(w)))
     bound = report.d0
     for m in range(1, n + 1):
-        pairs = _paired_step(mdp, pairs)
-        if len(pairs.points) > support_cap:
-            raise ValueError(
-                f"support blow-up: {len(pairs.points)} pairs at step {m}"
-            )
+        merged, den = _paired_masses(mdp, pairs)
+        if len(merged) > support_cap:
+            raise ValueError(f"support blow-up: {len(merged)} pairs at step {m}")
+        pairs = Dist._from_merged(merged.items(), den)
         bound *= kf
         coupling_cost = float(
             sum(float(q) * d_max(pv, pw) for (pv, pw), q in pairs.points)

@@ -1,5 +1,7 @@
 """Temporal-difference contraction and the hypercube walk."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -17,7 +19,7 @@ from qlog.hypercube import (
 from qlog.measures import Dist, dirac, kantorovich
 from qlog.td import (
     MDP,
-    _paired_step,
+    _paired_masses,
     d_max,
     random_mdp,
     random_vector,
@@ -245,6 +247,11 @@ def test_td_contraction_rows_match_reference():
     assert all(routes.values()), routes
 
 
+def _paired_step(mdp, pair_dist):
+    merged, den = _paired_masses(mdp, pair_dist)
+    return Dist._from_merged(merged.items(), den)
+
+
 def _paired_step_reference(mdp, pair_dist):
     """The paired step as first written: one triple loop per branch."""
     out = []
@@ -296,6 +303,155 @@ def test_paired_step_matches_reference(seed):
         old = _paired_step_reference(mdp, old)
         assert _bits(new) == _bits(old)
         assert new.residual == old.residual == 0
+
+
+# The TD steps as they were before int masses: a Fraction product per
+# branch, canonicalised by Dist.from_pairs; kept as the parity reference.
+
+
+def _fraction_branch_table(mdp, i):
+    return [
+        (float(r), j, wa * wr * wj)
+        for a, wa in mdp.policy[i].points
+        for r, wr in mdp.reward[(i, a)].points
+        for j, wj in mdp.transition[(a, i)].points
+    ]
+
+
+def _fraction_td_step(mdp, v):
+    alpha = float(mdp.alpha)
+    gamma = float(mdp.gamma)
+    acc = dirac(())
+    for i in range(mdp.n_states):
+        branch = Dist.from_pairs(
+            [
+                ((1 - alpha) * v[i] + alpha * min(r + gamma * v[j], 1.0), q)
+                for r, j, q in _fraction_branch_table(mdp, i)
+            ]
+        )
+        acc = Dist.from_pairs(
+            [
+                (vec + (x,), w1 * w2)
+                for vec, w1 in acc.points
+                for x, w2 in branch.points
+            ]
+        )
+    return acc
+
+
+def _fraction_paired_step(mdp, pair_dist):
+    alpha = float(mdp.alpha)
+    gamma = float(mdp.gamma)
+    tables = [_fraction_branch_table(mdp, i) for i in range(mdp.n_states)]
+    out = []
+    for (v, w), mass in pair_dist.points:
+        branches = [((), (), mass)]
+        for i, table in enumerate(tables):
+            keep_v = (1 - alpha) * v[i]
+            keep_w = (1 - alpha) * w[i]
+            updates = [
+                (
+                    keep_v + alpha * min(r + gamma * v[j], 1.0),
+                    keep_w + alpha * min(r + gamma * w[j], 1.0),
+                    q,
+                )
+                for r, j, q in table
+            ]
+            branches = [
+                (pv + (uv,), pw + (uw,), m0 * q)
+                for pv, pw, m0 in branches
+                for uv, uw, q in updates
+            ]
+        out.extend(((pv, pw), m) for pv, pw, m in branches)
+    return Dist.from_pairs(out)
+
+
+def _exact_points(d):
+    """Points with every float spelled exactly, so -0.0 != 0.0."""
+    def spell(v):
+        if type(v) is tuple:
+            return tuple(spell(x) for x in v)
+        return v.hex()
+    return [(spell(v), q) for v, q in d.points]
+
+
+def test_int_mass_steps_match_the_fraction_steps():
+    """The coarse 1/16 grid of random_mdp makes paths coincide, so
+    points really merge; equal points means equal values, masses and
+    support order."""
+    merges = 0
+    for seed in range(20):
+        for a, g in ((F(1, 2), F(1, 2)), (F(1, 2), F(4, 5)), (F(0), F(1, 2))):
+            mdp = random_mdp(seed)
+            mdp.alpha, mdp.gamma = a, g
+            v, w = random_vector(seed, 3), random_vector(seed + 99, 3)
+            assert _exact_points(td_step(mdp, v)) == _exact_points(
+                _fraction_td_step(mdp, v)
+            )
+            paths = 1
+            for i in range(3):
+                paths *= len(_fraction_branch_table(mdp, i))
+            new = old = dirac((v, w))
+            for _ in range(4):
+                new = _paired_step(mdp, new)
+                want = _fraction_paired_step(mdp, old)
+                assert _exact_points(new) == _exact_points(want), (seed, a, g)
+                merges += len(want.points) < len(old.points) * paths
+                old = want
+    assert merges >= 100  # of 240 steps
+    # signed zeros: paths through -0.0 and 0.0 merge, first-seen kept
+    signed = 0
+    for seed in range(10):
+        mdp = random_mdp(seed)
+        mdp.alpha = (F(0), F(1, 2))[seed % 2]
+        for key in mdp.reward:
+            mdp.reward[key] = dirac(-0.0)
+        v, w = (-0.0, 0.0, -0.0), (0.0, -0.0, 0.5)
+        want = _exact_points(_fraction_td_step(mdp, v))
+        assert _exact_points(td_step(mdp, v)) == want
+        signed += "-0x0.0p+0" in str(want)
+        new = old = dirac((v, w))
+        for _ in range(3):
+            new, old = _paired_step(mdp, new), _fraction_paired_step(mdp, old)
+            assert _exact_points(new) == _exact_points(old), seed
+    assert signed >= 5
+
+
+@pytest.mark.parametrize(
+    "seed, gamma, digest",
+    [
+        (0, F(1, 2), "49b088c10558f825c8ae8a97e0175191c24fdcbbe590366ea58efd5944387324"),
+        (0, F(4, 5), "9f1161f5f710d0f7c5d95cc95c1d3b68480592d53172c485ab2d8753c26330de"),
+        (1, F(1, 2), "b36bf819c6b54963700abc9fe0c8dd0dd9a647df8e6c746cedbfb818266eedbe"),
+        (1, F(4, 5), "7266151ff4d3713ce88c38002e4eb83ea0ed32341112438b05059eba3e156917"),
+        (2, F(1, 2), "6da3d248ca38a2ac588b2721cd9acd6b8ccc191bb6bd35506e786b8ed91e7d4f"),
+        (2, F(4, 5), "35366931fc06bf2f532647454bbd083e7675309f0a18408232b917380444b2ec"),
+    ],
+)
+def test_td_report_bytes_are_pinned(seed, gamma, digest):
+    """The acceptance inputs; support order feeds the float sums, so the
+    report's bytes move if the order does."""
+    mdp = random_mdp(seed)
+    mdp.alpha, mdp.gamma = F(1, 2), gamma
+    v, w = random_vector(seed * 2 + 1, 3), random_vector(seed * 2 + 2, 3)
+    rep = td_contraction_check(mdp, v, w, 6, tol=1e-6)
+    blob = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_td_support_cap_is_checked_on_the_merged_count():
+    mdp = random_mdp(2)
+    v, w = random_vector(5, 3), random_vector(6, 3)
+    sizes = []
+    pairs = dirac((v, w))
+    for _ in range(3):
+        pairs = _fraction_paired_step(mdp, pairs)
+        sizes.append(len(pairs.points))
+    assert sizes[0] < sizes[1] < sizes[2]
+    td_contraction_check(mdp, v, w, 3, support_cap=sizes[2])
+    message = f"^support blow-up: {sizes[2]} pairs at step 3$"
+    with pytest.raises(ValueError, match=message):
+        td_contraction_check(mdp, v, w, 3, support_cap=sizes[2] - 1)
 
 
 # -- the calculus terms agree with the native implementations ----------------

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, JSON reports, determinism."""
 
+import functools
 import io
 import json
 import re
@@ -11,6 +12,7 @@ import pytest
 from conftest import corpus
 from qlog.cli import main, parse_store_pred
 from qlog.imp import Store
+from qlog.td import td_contraction_check
 
 
 def run_cli(*argv):
@@ -179,6 +181,14 @@ def test_long_numerals_are_positioned_usage_errors(tmp_path, capsys, body, messa
     assert capsys.readouterr().err == message
 
 
+def test_zero_denominator_is_a_positioned_usage_error(tmp_path, capsys):
+    src = tmp_path / "zero.qlog"
+    src.write_text("def x = delta(0) (+ 1/0) delta(1)\n")
+    code, out = run_cli("check", str(src))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "1:23: zero denominator\n"
+
+
 @pytest.mark.parametrize(
     "body, pre, where",
     [
@@ -315,6 +325,15 @@ def test_casestudy_td_keeps_valid_alpha_gamma():
     blob = json.loads(out)
     assert code == 0 and blob["status"] == "ok"
     assert blob["k"] == float(Fraction(47, 50))  # 1 - alpha + gamma * alpha
+
+
+def test_casestudy_td_support_blow_up_is_a_usage_error(monkeypatch, capsys):
+    capped = functools.partial(td_contraction_check, support_cap=20)
+    monkeypatch.setattr("qlog.cli.td_contraction_check", capped)
+    code, out = run_cli("casestudy", "td", "--n", "6", "--seed", "2")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"casestudy td: support blow-up: \d+ pairs at step \d\n", err)
 
 
 def test_bisimilarity_at_discount_one_is_a_usage_error(capsys):

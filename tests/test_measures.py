@@ -305,6 +305,33 @@ def test_from_pairs_rejects_bad_mass():
     assert Dist.from_pairs([(0, 0), (1, 1)]) == dirac(1)
 
 
+def test_from_merged_sorts_like_from_pairs():
+    values = [(0.5, -0.0), 10.0, 2, (1e-05,), "a", 0.25, (2.0, (0.0,))]
+    masses = [3, 1, 4, 1, 5, 9, 1]
+    got = Dist._from_merged(zip(values, masses), 24)
+    want = Dist.from_pairs([(v, F(m, 24)) for v, m in zip(values, masses)])
+    assert [(repr(v), w) for v, w in got.points] == [
+        (repr(v), w) for v, w in want.points
+    ]
+    assert got == want and got.residual == 0
+    assert Dist._from_merged([("x", 3)], 3) == dirac("x")
+
+
+@pytest.mark.parametrize(
+    "points, den, message",
+    [
+        ([(0, 1), (1, 1)], 3, r"total mass 2/3 != 1"),
+        ([(0, 3), (1, 1)], 3, r"total mass 4/3 != 1"),
+        ([(0, 3), (1, 0)], 3, r"non-positive weight 0/3 at 1"),
+        ([(0, 4), (1, -1)], 3, r"non-positive weight -1/3 at 1"),
+        ([], 1, r"total mass 0 != 1"),
+    ],
+)
+def test_from_merged_rejects_bad_mass(points, den, message):
+    with pytest.raises(ValueError, match=message):
+        Dist._from_merged(points, den)
+
+
 def test_from_pairs_small_supports_keep_point_weight_and_residuals():
     # supports of fewer than 2 points skip the sort, nothing else
     one = Dist.from_pairs(

@@ -421,15 +421,31 @@ def _outcome(monkeypatch, parse, src):
     monkeypatch.setattr(T, "_fresh_counter", itertools.count())
     try:
         t = parse(src)
-    except (ValueError, ZeroDivisionError) as e:  # both sides raise the latter on "1/0"
+    except (ValueError, ZeroDivisionError) as e:  # the reference raises the latter on "1/0"
         return type(e).__name__, str(e)
     return _shape(t), T.alpha_key(t)
 
 
 def _assert_parity(monkeypatch, src):
     new = _outcome(monkeypatch, parse_term, src)
-    assert new == _outcome(monkeypatch, _parent_parse_term, src), src
+    old = _outcome(monkeypatch, _parent_parse_term, src)
+    if old[0] == "ZeroDivisionError":
+        # the one documented difference: a zero denominator is now a
+        # syntax error at the denominator's token
+        assert new[0] == "QlogSyntaxError", src
+        assert new[1].endswith(": zero denominator"), src
+    else:
+        assert new == old, src
     return not isinstance(new[0], str)
+
+
+@pytest.mark.parametrize(
+    "src, where", [("x (+ 1/0) y", "1:8"), ("[ 3 / 000 ] tt", "1:7")]
+)
+def test_a_zero_denominator_is_the_one_documented_difference(monkeypatch, src, where):
+    assert not _assert_parity(monkeypatch, src)
+    with pytest.raises(QlogSyntaxError, match=f"^{where}: zero denominator$"):
+        parse_term(src)
 
 
 _SAMPLE_TERMS = [
