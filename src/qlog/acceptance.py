@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, List
 
 from .evaluator import EnumSpec, EvalConfig, Evaluator
-from .grades import Grade
+from .grades import Grade, INF
 from .hoare import prp_prf_check, triple_value
 from .hypercube import hypercube_contraction_check
 from .imp import eval_cmd, parse_imp
@@ -25,6 +25,7 @@ from .parser import parse_file, parse_term, parse_type
 from .processes import behavioral_distance, bisimilarity_distance
 from .sampling import sample_envs, sample_value
 from .td import random_mdp, random_vector, td_contraction_check
+from .terms import TypeCtx
 from .transport import brute_force_transport, solve_transport
 from .typecheck import Checker, TypeCheckError
 from .values import Approx, deref
@@ -233,9 +234,6 @@ def check_internal_kantorovich(trials: int = 100, seed: int = 0):
     ck = Checker()
     ev = Evaluator(ck, EvalConfig())
     t = parse_term("kant[Nat](mu, nu)")
-    from .terms import TypeCtx
-    from .grades import INF
-
     delta = TypeCtx.of(
         ("mu", INF, parse_type("Dist Nat")), ("nu", INF, parse_type("Dist Nat"))
     )

@@ -23,18 +23,17 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import acceptance
 from .evaluator import EnumSpec, EvalConfig, Evaluator
 from .grades import Grade
-from .hoare import triple_value
+from .hoare import prp_prf_check, triple_value
 from .hypercube import hypercube_contraction_check
 from .imp import ImpError, Store, parse_imp, parse_store_pred
-from .logic import (
-    check_derivation, check_semantic, judgment_from_json, load_derivation_file, load_source,
-)
-from .parser import QlogSyntaxError, parse_file
+from .logic import check_derivation, check_semantic, load_derivation_file, load_judgment_file
+from .parser import InputError, QlogSyntaxError, located, parse_file
 from .processes import ProcessError, behavioral_distance, bisimilarity_distance
 from .sampling import sample_envs
 from .td import random_mdp, random_vector, td_contraction_check
@@ -57,9 +56,24 @@ def _report(args, payload: dict, status: str) -> int:
     return 0 if status == "ok" else 1
 
 
-def _load_qlog(path: str):
+@contextmanager
+def _input_file(path: str):
+    """Names ``path`` in a syntax or malformed-input error raised inside."""
+    try:
+        yield
+    except (QlogSyntaxError, InputError) as e:
+        raise InputError(located(path, e)) from None
+
+
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_file(fh.read())
+        return fh.read()
+
+
+def _load_qlog(path: str):
+    text = _read(path)
+    with _input_file(path):
+        return parse_file(text)
 
 
 def _evaluator(args, alphabets) -> Evaluator:
@@ -154,25 +168,23 @@ def cmd_distance(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    with open(args.file) as fh:
+    text = _read(args.file)
+    with _input_file(args.file):
         qfile, deriv = load_derivation_file(
-            fh.read(), base_dir=os.path.dirname(os.path.abspath(args.file))
+            text, base_dir=os.path.dirname(os.path.abspath(args.file))
         )
-    ck = Checker(qfile.alphabets if qfile else {})
-    rep = check_derivation(ck, deriv, qfile)
+        ck = Checker(qfile.alphabets if qfile else {})
+        rep = check_derivation(ck, deriv, qfile)
     payload = rep.to_json()
     return _report(args, payload, "ok" if rep.ok else "error")
 
 
 def cmd_judge(args) -> int:
-    with open(args.file) as fh:
-        obj = json.load(fh)
-    qfile = load_source(obj, os.path.dirname(os.path.abspath(args.file)))
-    jobj = obj.get("judgment") or obj.get("derivation", {}).get("judgment")
-    if jobj is None:
-        print("file carries no judgment", file=sys.stderr)
-        return 2
-    judgment = judgment_from_json(jobj, qfile)
+    text = _read(args.file)
+    with _input_file(args.file):
+        qfile, judgment = load_judgment_file(
+            text, os.path.dirname(os.path.abspath(args.file))
+        )
     ev = _evaluator(args, qfile.alphabets if qfile else {})
     envs = sample_envs(ev, judgment.delta, args.envs, seed=args.seed)
     rep = check_semantic(ev, judgment, envs, tol=args.tol)
@@ -246,8 +258,6 @@ def cmd_casestudy(args) -> int:
         return _report(args, {"case": name, "detail": detail},
                        "ok" if ok else "error")
     if name == "prp":
-        from .hoare import prp_prf_check
-
         if args.l > args.n:
             return _usage_error(
                 "casestudy prp: need array length --l <= value range --n"
@@ -277,11 +287,10 @@ def _store_from_json(prog, obj: dict) -> Store:
 def cmd_hoare(args) -> int:
     progs = []
     for path in (args.left, args.right):
-        with open(path) as fh:
-            try:
-                progs.append(parse_imp(fh.read()))
-            except ImpError as e:
-                return _usage_error(_located(path, e))
+        try:
+            progs.append(parse_imp(_read(path)))
+        except ImpError as e:
+            return _usage_error(located(path, e))
     left, right = progs
     pairs = [(left.initial_store(), right.initial_store())]
     if args.stores:
@@ -302,7 +311,7 @@ def cmd_hoare(args) -> int:
             for s, s2 in pairs:
                 preds[-1](s, s2)
         except (ValueError, TypeError) as e:  # TypeError: an array against a number
-            return _usage_error(_located(flag, e))
+            return _usage_error(located(flag, e))
     res = triple_value(
         left, left.body, right, right.body, *preds, args.mode, pairs,
         max_iter=args.max_iter, tol=args.tol,
@@ -329,11 +338,6 @@ def cmd_suite(args) -> int:
 def _usage_error(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
-
-
-def _located(where: str, e: Exception) -> str:
-    """``where: message``, or ``where:line:col: message`` if ``e`` has a position."""
-    return f"{where}{':' if getattr(e, 'line', None) else ': '}{e}"
 
 
 def _int_at_least(low: int):
@@ -441,7 +445,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # OSError: a missing or unreadable file, or a directory given as one
-    except (QlogSyntaxError, TypeCheckError, ProcessError, ImpError, OSError) as e:
+    except (InputError, QlogSyntaxError, TypeCheckError, ProcessError, ImpError,
+            OSError) as e:
         print(str(e), file=sys.stderr)
         return 2
 

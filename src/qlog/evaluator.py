@@ -30,10 +30,11 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from .grades import Grade, ONE, ZERO, oplus, scale_prop, wand
-from .measures import Dist, convex, dirac, empty_subdist, lift_relation, transport
+from .measures import Dist, convex, dirac, empty_subdist, key_of, lift_relation, transport
 from . import terms as T
 from .normalize import normal_form
 from .parser import parse_term
+from .processes import behavioral_distance
 from .typecheck import Checker
 from .values import (
     UNIT,
@@ -203,8 +204,6 @@ class Evaluator:
         v1 = deref(v1)
         v2 = deref(v2)
         if isinstance(ty, (T.TNat, T.TAlpha, T.TUnit)):
-            from .measures import key_of
-
             return Approx(0.0 if key_of(v1) == key_of(v2) else 1.0)
         if isinstance(ty, T.TProp):
             return Approx(abs(float(v1) - float(v2)))
@@ -249,8 +248,6 @@ class Evaluator:
             sided = None if exhaustive else "lower"
             return Approx(worst.value, worst.radius, sided or worst.sided)
         if isinstance(ty, T.TProc):
-            from .processes import behavioral_distance
-
             return behavioral_distance(self, v1, v2, ty.c, self.config.tol)
         raise EvalError(f"no metric for type {ty}")
 

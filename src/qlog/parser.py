@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .grades import Grade, INF, ONE
 from . import terms as T
+from .typecheck import Checker
 
 
 class QlogSyntaxError(ValueError):
@@ -29,6 +30,15 @@ class QlogSyntaxError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
+
+
+class InputError(Exception):
+    """A malformed input file; the message names where in it."""
+
+
+def located(where: str, e: Exception) -> str:
+    """``where: message``, or ``where:line:col: message`` if ``e`` has a position."""
+    return f"{where}{':' if getattr(e, 'line', None) else ': '}{e}"
 
 
 @dataclass
@@ -717,8 +727,6 @@ def _declarations(p: Parser) -> QlogFile:
             if name in out.defs or name in out.ctx.names():
                 raise QlogSyntaxError(f"duplicate name {name}", t.line, t.col)
             if ty is not None:
-                from .typecheck import Checker
-
                 Checker(out.alphabets).elaborate(body, ty)
             out.defs[name] = Definition(name, ty, body)
         else:

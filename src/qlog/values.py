@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from .measures import Dist
+from .measures import Dist, dist_to_json, key_of
 from . import terms as T
 
 
@@ -49,8 +49,6 @@ class VInj:
     value: Any
 
     def dist_key(self):
-        from .measures import key_of
-
         return ("inj", self.index, key_of(self.value))
 
     def __repr__(self):
@@ -217,8 +215,6 @@ class Approx:
 
 def value_to_json(v: Any) -> Any:
     """JSON form of a first-order value (used by the CLI)."""
-    from .measures import dist_to_json
-
     v = deref(v)
     if isinstance(v, bool):
         return v

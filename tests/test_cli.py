@@ -145,7 +145,7 @@ def test_deep_nesting_exits_2_with_position(tmp_path, capsys):
     code, _ = run_cli("eval", str(src), "--def", "x")
     assert code == 2
     err = capsys.readouterr().err
-    assert "nested too deeply" in err and err.startswith("1:")
+    assert "nested too deeply" in err and err.startswith(f"{src}:1:")
     assert "Traceback" not in err
 
 
@@ -178,7 +178,7 @@ def test_long_numerals_are_positioned_usage_errors(tmp_path, capsys, body, messa
     src.write_text(body)
     code, out = run_cli("check", str(src))
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == f"{src}:{message}"
 
 
 def test_zero_denominator_is_a_positioned_usage_error(tmp_path, capsys):
@@ -186,7 +186,7 @@ def test_zero_denominator_is_a_positioned_usage_error(tmp_path, capsys):
     src.write_text("def x = delta(0) (+ 1/0) delta(1)\n")
     code, out = run_cli("check", str(src))
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == "1:23: zero denominator\n"
+    assert capsys.readouterr().err == f"{src}:1:23: zero denominator\n"
 
 
 @pytest.mark.parametrize(
@@ -489,3 +489,74 @@ def test_distance_proc_needs_process_types(tmp_path, capsys, source):
     code, out = run_cli("distance", str(src), "--left", "a", "--right", "a", "--proc")
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "--proc needs process-typed definitions\n"
+
+
+def test_qlog_syntax_error_names_its_file(tmp_path, capsys):
+    src = tmp_path / "z.qlog"
+    src.write_text("def x = delta(0) (+ 1/0) delta(1)\n")
+    code, out = run_cli("check", corpus("geo.qlog"), str(src))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"{src}:1:23: zero denominator\n"
+
+
+def _proof_file(tmp_path, fname, edit):
+    """A copy of a corpus derivation, its root node changed by ``edit``."""
+    with open(corpus("derivs", fname)) as fh:
+        obj = json.load(fh)
+    if "source_file" in obj:
+        obj["source_file"] = corpus("derivs", obj["source_file"])
+    edit(obj["derivation"])
+    path = tmp_path / fname
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _set_param(key, value, at=()):
+    def edit(node):
+        for i in at:
+            node = node["children"][i]
+        node["params"][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "fname, edit, message",
+    [
+        ("04_exchange.json", _set_param("at", "x"),
+         "root [ex] at: invalid literal for int() with base 10: 'x'"),
+        ("11_markov_quarter_bound.json", _set_param("unfold_fix", "many", (0, 0)),
+         "root.0.0 [eq-e] unfold_fix: invalid literal for int() with base 10: 'many'"),
+        ("05_promotion.json", _set_param("r", "abc"),
+         "root [pr] r: Invalid literal for Fraction: 'abc'"),
+        ("34_ind_dist.json", _set_param("p", "half"),
+         "root [ind-dist] p: Invalid literal for Fraction: 'half'"),
+        ("34_ind_dist.json", _set_param("p", "1/0"), "root [ind-dist] p: zero denominator"),
+        ("33_ind_nat.json", lambda n: n["children"][0].pop("judgment"),
+         "root.0 [eq-i]: missing 'judgment'"),
+        ("33_ind_nat.json", _set_param("phi", "v =="),
+         "root [ind-nat] phi:1:3: expected a term"),
+    ],
+)
+def test_malformed_proof_file_is_a_usage_error(tmp_path, capsys, fname, edit, message):
+    path = _proof_file(tmp_path, fname, edit)
+    code, out = run_cli("prove", str(path))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["prove", "judge"])
+def test_proof_file_that_is_not_json_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "p.json"
+    path.write_text("{ not json")
+    code, out = run_cli(command, str(path))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: not JSON: ") and err.count("\n") == 1
+
+
+def test_param_that_parses_but_breaks_its_rule_is_a_rejection(tmp_path):
+    path = _proof_file(tmp_path, "34_ind_dist.json", _set_param("p", "2"))
+    code, out = run_cli("prove", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        "root [ind-dist]: mixing weight must be in (0,1)"]

@@ -285,3 +285,45 @@ def test_uniqueness_of_global_fixed_points():
     moved = ev.eval({"x": constructed}, body)
     d = ev.distance_at(parse_type("Dist Nat"), constructed.value, moved.value)
     assert d.value <= constructed.radius + moved.radius + 1e-9
+
+
+def test_every_rule_has_one_handler():
+    """Each row of ``RULES`` is checked by a ``_rule_*`` method, and no
+    handler is left without a row."""
+    from qlog.logic import DerivationChecker
+
+    handlers = {m for m in dir(DerivationChecker) if m.startswith("_rule_")}
+    assert handlers == {"_rule_" + r.replace("-", "_") for r in RULES}
+
+
+def _mutant(fname, edit):
+    """Checks a corpus derivation after ``edit`` changes its root node."""
+    with open(os.path.join(DERIVS, fname)) as fh:
+        obj = json.load(fh)
+    edit(obj["derivation"])
+    qfile, deriv = load_derivation_file(json.dumps(obj), base_dir=DERIVS)
+    return check_derivation(Checker(qfile.alphabets if qfile else {}), deriv, qfile)
+
+
+@pytest.mark.parametrize("delta", [[["n0", "Dist Nat"], ["junk", "Unit"]], []])
+def test_ind_nat_base_premise_keeps_the_conclusion_context(delta):
+    rep = _mutant("33_ind_nat.json",
+                  lambda n: n["children"][0]["judgment"].update(delta=delta))
+    assert not rep.ok
+    assert rep.error == "root [ind-nat]: premise context differs from conclusion context"
+
+
+@pytest.mark.parametrize(
+    "fname, edit, where",
+    [
+        ("09_scale_assoc_collapse.json",
+         lambda n: n["judgment"]["hyps"].append("tt"), "root [assoc1]"),
+        ("06_duplication.json",
+         lambda n: n["children"][0].update(rule="assoc1"), "root.0 [assoc1]"),
+        ("06_duplication.json",
+         lambda n: n["children"][0].update(rule="inc"), "root.0 [inc]"),
+    ],
+)
+def test_hypothesis_position_is_checked_against_every_list(fname, edit, where):
+    rep = _mutant(fname, edit)
+    assert not rep.ok and rep.error == f"{where}: position out of range"

@@ -106,3 +106,47 @@ def test_no_unused_imports():
         unused += [f"{fname}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_no_function_level_package_imports():
+    """Modules of the package import each other at module level only."""
+    import ast
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "qlog")
+    local = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").split(".")[0] == "qlog"):
+                    local.append(f"{fname}:{node.lineno}")
+                elif isinstance(node, ast.Import) and any(
+                        a.name.split(".")[0] == "qlog" for a in node.names):
+                    local.append(f"{fname}:{node.lineno}")
+    assert local == []
+
+
+def test_grammar_doc_lists_the_rule_table():
+    """The rule table of ``docs/grammar.md`` is ``logic.RULES``: each row
+    gives the bound variables per premise and the rules that share them."""
+    import re
+
+    from qlog.logic import RULES
+
+    doc = os.path.join(os.path.dirname(__file__), "..", "docs", "grammar.md")
+    with open(doc, encoding="utf-8") as fh:
+        rows = [line.split("|")[1:4] for line in fh if re.match(r"\| \d \|", line)]
+    table = {}
+    for premises, binds, rules in rows:
+        row = tuple(int(k) for k in re.findall(r"\d+", binds))
+        assert len(row) == int(premises)
+        for rule in re.findall(r"`([^`]+)`", rules):
+            assert rule not in table, rule
+            table[rule] = row
+    assert table == RULES
