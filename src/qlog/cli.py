@@ -247,7 +247,7 @@ def cmd_casestudy(args) -> int:
         w = random_vector(args.seed * 2 + 2, 3)
         try:
             rep = td_contraction_check(mdp, v, w, args.n, tol=args.tol)
-        except ValueError as e:  # the support outgrew support_cap
+        except ValueError as e:  # a bad --tol, or support_cap outgrown
             return _usage_error(f"casestudy td: {e}")
         return _report(args, rep.to_json(), "ok" if rep.ok else "error")
     if name == "hypercube":

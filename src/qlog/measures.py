@@ -25,8 +25,10 @@ merged points are sorted by the string ``_sort_token(key_of(v))`` of
 their first-seen value, ties kept in first-seen order.  Both
 constructors, :meth:`Dist.from_pairs` (which merges) and
 ``Dist._from_merged`` (given merged points with int masses), sort with
-the one helper ``_sort_support``.  A merged support of fewer than 2
-points has one order and builds no token.  The
+the one helper ``_sort_support``, and so does ``td``, whose paired
+steps keep ((V, W), mass, distance) rows and build no ``Dist``.  A
+merged support of fewer than 2 points has one order and builds no
+token.  The
 token spells the key structurally: a tuple is ``"("`` + its components'
 tokens joined by ``","`` + ``")"``, a non-bool int is zero-padded to 24
 places, anything else is its ``repr``.  Floats therefore sort by their
@@ -208,11 +210,11 @@ class Dist:
         entries = list(merged.values())
         _sort_support(entries)
         pts = tuple([(v, w) for v, w in entries])
-        d = Dist(pts, _as_weight(residual_div), _as_weight(residual_approx))
-        total = d.mass + d.residual_div + d.residual_approx
+        rdiv, rapp = _as_weight(residual_div), _as_weight(residual_approx)
+        total = _exact_sum([w for _, w in pts] + [rdiv, rapp])
         if total != 1:
             raise ValueError(f"total mass {total} != 1")
-        return d
+        return Dist(pts, rdiv, rapp)
 
     @staticmethod
     def _from_merged(points: Iterable[Tuple[Any, int]], den: int) -> "Dist":

@@ -20,18 +20,24 @@ bound on the same optimum (the report says which route each n took).
 
 The route rule: step m takes the exact LP iff (distinct V) * (distinct
 W) <= lp_cap**2, counted over the support of the paired distribution,
-and only then are the marginal measures of V and W built.  Each
-support point is a distinct (V, W) pair, so a support larger than
-lp_cap**2 decides the coupling route without counting.
+and only then are the marginal measures of V and W built, with one
+``Fraction`` per point.  Each support point is a distinct (V, W) pair,
+so a support larger than lp_cap**2 decides the coupling route without
+counting.  The coupling cost is the float sum of (m / den) * d over
+the rows in support order; ``m / den`` is correctly rounded, so it is
+the float of ``Fraction(m, den)``.
 
-Masses.  A step keeps every mass as a Python int over one denominator:
-the input's common denominator times the product of the branch
-tables' denominators.  Paths are merged in a dict keyed by the raw
-(V, W) tuple, whose equality on all-float tuples is ``key_of``
-equality, and the step's ``Dist`` is built once from the merged points
-(``Dist._from_merged``), with one ``Fraction`` per point.  The support
-cap is checked on the merged count, before anything is sorted.
-``td_step`` is the V half of the paired step from (v, v).
+Masses.  Between steps the paired distribution is a list of rows
+((V, W), m, d): m is a Python int over one denominator ``den``, the
+input's denominator times the product of the branch tables'
+denominators, and d is d_max(V, W).  A step builds no ``Dist`` and no
+``Fraction``.  Paths are merged in a dict keyed by the raw (V, W)
+tuple, whose equality on all-float tuples is ``key_of`` equality; d is
+the max of the path's per-state gaps |uv - uw|, each computed once per
+(input row, state, branch).  The support cap is checked on the merged
+count; the rows are then sorted once into support order
+(``measures._sort_support``).  ``td_step`` is the V half of the paired
+step from (v, v), built once into a ``Dist`` (``Dist._from_merged``).
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Tuple
 
-from .measures import Dist, dirac, kantorovich, key_of
+from .measures import Dist, _sort_support, dirac, kantorovich, key_of
 
 
 @dataclass
@@ -72,6 +79,11 @@ class MDP:
         return 1 - self.alpha + self.gamma * self.alpha
 
 
+# ((V, W), m, d): a support pair, its int mass over the step's
+# denominator, and d_max(V, W)
+Row = Tuple[Tuple[tuple, tuple], int, float]
+
+
 def _branch_table(mdp: MDP, i: int) -> Tuple[List[Tuple[float, int, int]], int]:
     """``(reward, successor, mass)`` for every branch at state i, in
     policy, reward, transition order, each mass an int over the
@@ -97,54 +109,54 @@ def _check_vector(mdp: MDP, v: Tuple[float, ...]) -> None:
 
 
 def _paired_masses(
-    mdp: MDP, pair_dist: Dist
-) -> Tuple[Dict[Tuple[tuple, tuple], int], int]:
-    """Advance a distribution over (V, W) pairs on shared randomness:
-    the merged updated pairs, with int masses over the returned
-    denominator (see Masses above)."""
+    mdp: MDP, rows: List[Row], den: int
+) -> Tuple[List[Row], int]:
+    """Advance the rows of a distribution over (V, W) pairs, each mass
+    an int over ``den``, on shared randomness: the merged updated rows
+    in first-seen order, with int masses over the returned denominator
+    (see Masses above).  A row's input distance is not read."""
     alpha = float(mdp.alpha)
     gamma = float(mdp.gamma)
-    scale = math.lcm(*[q.denominator for _, q in pair_dist.points])
-    tables, den = [], scale
+    tables = []
     for i in range(mdp.n_states):
         table, d = _branch_table(mdp, i)
         tables.append(table)
         den *= d
-    merged: Dict[Tuple[tuple, tuple], int] = {}
+    # a path's mass factor is the same from every input point
+    factors = [
+        math.prod(qs)
+        for qs in product(*[[q for _, _, q in table] for table in tables])
+    ]
+    merged: Dict[Tuple[tuple, tuple], list] = {}
     get = merged.get
-    for (v, w), mass in pair_dist.points:
-        branches: List[Tuple[tuple, tuple, int]] = [
-            ((), (), mass.numerator * (scale // mass.denominator))
-        ]
+    for (v, w), mass, _ in rows:
+        uvs, uws, gaps = [], [], []
         for i, table in enumerate(tables):
             keep_v = (1 - alpha) * v[i]
             keep_w = (1 - alpha) * w[i]
-            updates = [
-                (
-                    keep_v + alpha * min(r + gamma * v[j], 1.0),
-                    keep_w + alpha * min(r + gamma * w[j], 1.0),
-                    q,
-                )
-                for r, j, q in table
-            ]
-            branches = [
-                (pv + (uv,), pw + (uw,), m0 * q)
-                for pv, pw, m0 in branches
-                for uv, uw, q in updates
-            ]
+            us = [keep_v + alpha * min(r + gamma * v[j], 1.0) for r, j, _ in table]
+            ws = [keep_w + alpha * min(r + gamma * w[j], 1.0) for r, j, _ in table]
+            uvs.append(us)
+            uws.append(ws)
+            gaps.append([abs(a - b) for a, b in zip(us, ws)])
         # on all-float tuples, tuple equality is key_of equality
-        for pv, pw, m in branches:
-            key = (pv, pw)
-            merged[key] = get(key, 0) + m
-    return merged, den
+        for key, q, gap in zip(
+            zip(product(*uvs), product(*uws)), factors, product(*gaps)
+        ):
+            row = get(key)
+            if row is None:
+                merged[key] = [key, mass * q, max(gap, default=0.0)]
+            else:
+                row[1] += mass * q
+    return list(merged.values()), den
 
 
 def td_step(mdp: MDP, v: Tuple[float, ...]) -> Dist:
     """Exact one-step distribution over updated value vectors: the V
     half of the paired step from (v, v)."""
     _check_vector(mdp, v)
-    merged, den = _paired_masses(mdp, dirac((v, v)))
-    return Dist._from_merged([(pv, m) for (pv, _), m in merged.items()], den)
+    rows, den = _paired_masses(mdp, [((v, v), 1, 0.0)], 1)
+    return Dist._from_merged([(pv, m) for (pv, _), m, _ in rows], den)
 
 
 def d_max(v: Tuple[float, ...], w: Tuple[float, ...]) -> float:
@@ -181,29 +193,32 @@ def td_contraction_check(
     _check_vector(mdp, w)
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
+    if not 0 <= tol < math.inf:  # NaN fails this too
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     if lp_cap < 0:
         raise ValueError(f"lp_cap must be >= 0, got {lp_cap}")
+    if support_cap < 1:
+        raise ValueError(f"support_cap must be >= 1, got {support_cap}")
     cap = lp_cap * lp_cap
     kf = float(mdp.k)
     report = TDReport(k=kf, d0=d_max(v, w))
-    pairs = dirac((tuple(v), tuple(w)))
+    rows: List[Row] = [((tuple(v), tuple(w)), 1, report.d0)]
+    den = 1
     bound = report.d0
     for m in range(1, n + 1):
-        merged, den = _paired_masses(mdp, pairs)
-        if len(merged) > support_cap:
-            raise ValueError(f"support blow-up: {len(merged)} pairs at step {m}")
-        pairs = Dist._from_merged(merged.items(), den)
+        rows, den = _paired_masses(mdp, rows, den)
+        if len(rows) > support_cap:
+            raise ValueError(f"support blow-up: {len(rows)} pairs at step {m}")
+        _sort_support(rows)
         bound *= kf
-        coupling_cost = float(
-            sum(float(q) * d_max(pv, pw) for (pv, pw), q in pairs.points)
-        )
-        if len(pairs.points) <= cap and (
-            len({key_of(pv) for (pv, _), _ in pairs.points})
-            * len({key_of(pw) for (_, pw), _ in pairs.points})
+        coupling_cost = float(sum([(q / den) * d for _, q, d in rows]))
+        if len(rows) <= cap and (
+            len({key_of(pv) for (pv, _), _, _ in rows})
+            * len({key_of(pw) for (_, pw), _, _ in rows})
             <= cap
         ):
-            mu = Dist.from_pairs([(pv, q) for (pv, _), q in pairs.points])
-            nu = Dist.from_pairs([(pw, q) for (_, pw), q in pairs.points])
+            mu = Dist.from_pairs([(pv, Fraction(q, den)) for (pv, _), q, _ in rows])
+            nu = Dist.from_pairs([(pw, Fraction(q, den)) for (_, pw), q, _ in rows])
             measured = kantorovich(d_max, mu, nu)
             mode = "exact-lp"
         else:

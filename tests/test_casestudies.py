@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -183,11 +184,34 @@ def test_td_rejects_bad_vectors():
         (((0.0,) * 3, (0.0, float("nan"), 0.0), 3), r"must lie in \[0,1\]"),
         (((0.0,) * 3, (1.0,) * 3, -1), "step count must be >= 0, got -1"),
         (((0.0,) * 3, (1.0,) * 3, 2, 1e-6, -1), "lp_cap must be >= 0, got -1"),
+        (((0.0,) * 3, (1.0,) * 3, 2, float("nan")),
+         "tol must be a finite number >= 0, got nan"),
+        (((0.0,) * 3, (1.0,) * 3, 2, -1e-6),
+         "tol must be a finite number >= 0, got -1e-06"),
+        (((0.0,) * 3, (1.0,) * 3, 2, float("inf")),
+         "tol must be a finite number >= 0, got inf"),
+        (((0.0,) * 3, (1.0,) * 3, 2, 1e-6, 25, 0), "support_cap must be >= 1, got 0"),
+        (((0.0,) * 3, (1.0,) * 3, 2, 1e-6, 25, -3),
+         "support_cap must be >= 1, got -3"),
     ],
 )
 def test_td_contraction_rejects_bad_input(args, message):
     with pytest.raises(ValueError, match=message):
         td_contraction_check(random_mdp(0), *args)
+
+
+def test_td_zero_state_mdp():
+    """No state means one empty path per step: the steps stay dirac at
+    (), every distance is the empty max 0.0, and the LP route is taken."""
+    mdp = MDP(n_states=0, actions=[], transition={}, reward={}, policy={})
+    assert td_step(mdp, ()) == dirac(())
+    rep = td_contraction_check(mdp, (), (), 2)
+    assert rep.ok and rep.d0 == 0.0
+    assert rep.rows == [
+        {"n": m, "mode": "exact-lp", "measured": 0.0, "coupling_cost": 0.0,
+         "bound": 0.0, "ok": True}
+        for m in (1, 2)
+    ]
 
 
 def _td_rows_reference(mdp, v, w, n, lp_cap, routes):
@@ -248,8 +272,17 @@ def test_td_contraction_rows_match_reference():
 
 
 def _paired_step(mdp, pair_dist):
-    merged, den = _paired_masses(mdp, pair_dist)
-    return Dist._from_merged(merged.items(), den)
+    """One paired step from Dist to Dist, through the int-mass rows;
+    every row's distance must be d_max of its pair."""
+    den = math.lcm(*[q.denominator for _, q in pair_dist.points])
+    rows, den = _paired_masses(
+        mdp,
+        [(vw, q.numerator * (den // q.denominator), None)
+         for vw, q in pair_dist.points],
+        den,
+    )
+    assert [d for _, _, d in rows] == [d_max(*vw) for vw, _, _ in rows]
+    return Dist._from_merged([(vw, m) for vw, m, _ in rows], den)
 
 
 def _paired_step_reference(mdp, pair_dist):

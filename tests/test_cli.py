@@ -336,6 +336,14 @@ def test_casestudy_td_support_blow_up_is_a_usage_error(monkeypatch, capsys):
     assert re.fullmatch(r"casestudy td: support blow-up: \d+ pairs at step \d\n", err)
 
 
+def test_casestudy_td_rejects_infinite_tol(capsys):
+    # --tol inf would let every row pass whatever was measured
+    code, out = run_cli("casestudy", "td", "--n", "2", "--tol", "inf")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "casestudy td: tol must be a finite number >= 0, got inf\n"
+
+
 def test_bisimilarity_at_discount_one_is_a_usage_error(capsys):
     code, out = run_cli(
         "distance", corpus("markov.qlog"), "--left", "m", "--right", "n",

@@ -23,7 +23,7 @@ from qlog.measures import (
     total_variation,
     transport,
 )
-from qlog.measures import _order_token
+from qlog.measures import _as_weight, _order_token, _sort_support
 from qlog.transport import TransportError, brute_force_transport, solve_transport
 
 DISC = lambda a, b: 0.0 if a == b else 1.0
@@ -386,6 +386,118 @@ def test_support_order_property():
     @hypothesis.given(st.lists(values, min_size=1, max_size=12))
     def check(vs):
         _same_points(vs)
+
+    check()
+
+
+def _dists_with_residuals(st):
+    """Distributions whose residual_div and residual_approx are both
+    non-zero, over a few ints and tuples so that supports overlap."""
+    values = st.sampled_from([0, 1, 2, 3, (0, 1), (1, 0), "a"])
+    parts = st.integers(min_value=1, max_value=9)
+
+    def build(drawn):
+        points, rdiv, rapp = drawn
+        total = sum(m for _, m in points) + rdiv + rapp
+        return Dist.from_pairs(
+            [(v, F(m, total)) for v, m in points],
+            residual_div=F(rdiv, total),
+            residual_approx=F(rapp, total),
+        )
+
+    return st.tuples(
+        st.lists(st.tuples(values, parts), max_size=5), parts, parts
+    ).map(build)
+
+
+def test_convex_barycentric_laws_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    dists = _dists_with_residuals(st)
+    weights = st.fractions(min_value=F(1, 100), max_value=F(99, 100),
+                           max_denominator=100)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(dists, dists, dists, weights, weights)
+    def check(mu, nu, rho, p, q):
+        assert mu.residual_div and mu.residual_approx
+        assert convex(p, mu, mu) == mu  # idempotence
+        assert convex(p, mu, nu) == convex(1 - p, nu, mu)  # commutativity
+        r = (q - p * q) / (1 - p * q)  # skewed associativity
+        assert convex(q, convex(p, mu, nu), rho) == convex(
+            p * q, mu, convex(r, nu, rho)
+        )
+
+    check()
+
+
+def _from_pairs_reference(pairs, residual_div=0, residual_approx=0):
+    """``Dist.from_pairs`` with its total-mass check as first written: a
+    Dist first, then mass + residual_div + residual_approx in Fractions."""
+    merged = {}
+    for v, w in pairs:
+        w = _as_weight(w)
+        if w.numerator <= 0:
+            if w.numerator < 0:
+                raise ValueError(f"negative weight {w}")
+            continue
+        k = key_of(v)
+        if k in merged:
+            merged[k][1] += w
+        else:
+            merged[k] = [v, w]
+    entries = list(merged.values())
+    _sort_support(entries)
+    d = Dist(
+        tuple((v, w) for v, w in entries),
+        _as_weight(residual_div),
+        _as_weight(residual_approx),
+    )
+    total = d.mass + d.residual_div + d.residual_approx
+    if total != 1:
+        raise ValueError(f"total mass {total} != 1")
+    return d
+
+
+def _outcome(build):
+    try:
+        d = build()
+    except (ValueError, OverflowError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    points = [(repr(v), w, type(w)) for v, w in d.points]
+    return points, d.residual_div, d.residual_approx, type(d.residual_div), type(
+        d.residual_approx
+    )
+
+
+def test_from_pairs_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fractions = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+    weight = st.one_of(
+        fractions,
+        fractions.map(str),
+        st.integers(min_value=-1, max_value=2),
+        st.sampled_from([0.25, 0.5, -0.5, 0.0, float("nan"), float("inf")]),
+    )
+    values = st.sampled_from([0, 1, 0.0, -0.0, 0.5, (0.0,), (-0.0,), "x", True])
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(
+        st.lists(st.tuples(values, weight), max_size=6),
+        weight,
+        weight,
+        st.booleans(),
+    )
+    def check(pairs, rdiv, rapp, normalise):
+        if normalise:  # a full-mass case: positive Fraction weights summing to 1
+            pairs = [(v, abs(w)) for v, w in pairs if type(w) is F]
+            total = sum((w for _, w in pairs), F(0))
+            pairs = [(v, w / total) for v, w in pairs] if total else [(0, F(1))]
+            rdiv = rapp = 0
+        got = _outcome(lambda: Dist.from_pairs(pairs, rdiv, rapp))
+        want = _outcome(lambda: _from_pairs_reference(pairs, rdiv, rapp))
+        assert got == want
 
     check()
 
