@@ -222,12 +222,8 @@ def cmd_casestudy(args) -> int:
             f"def hde : Proc[{c}] C = fst biased\n"
         )
         qfile = parse_file(source)
-        ck = Checker(qfile.alphabets)
         ev = _evaluator(args, qfile.alphabets)
-        vals = {}
-        for nm, d in qfile.defs.items():
-            ck.check(qfile.ctx, d.term, d.declared_type)
-            vals[nm] = ev.eval({}, d.term)
+        vals = ev.eval_defs(qfile)
         d = behavioral_distance(ev, vals["hd"].value, vals["hde"].value,
                                 Grade(c), args.tol)
         # biasing by -eps mirrors biasing by eps

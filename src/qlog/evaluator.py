@@ -548,33 +548,26 @@ class Evaluator:
             sided = sided or out.sided
             branch.append((out.value, w))
         radius = _cap(worst_inner + _scaled(grade, bound.radius))
-        if not branch:
-            if mu.residual_div > 0 or mu.residual_approx > 0:
-                return Approx(
-                    Dist((), mu.residual_div, mu.residual_approx), radius, sided
-                )
-            raise EvalError("sampling from an empty distribution")
+        if not branch and not isinstance(t.body_type, T.TDist):
+            if t.body_type is None:
+                raise EvalError("sampling lacks its body type annotation")
+            # a point-free mu (residual 1) pins no value of the body's
+            # type: any inhabitant is within the 1-bounded metric
+            return Approx(self.canonical_seed(t.body_type), 1.0, sided)
         return self._combine_branches(mu, branch, radius, sided)
 
     def _combine_branches(
         self, mu: Dist, branch: List[Tuple[Any, Fraction]], radius: float, sided
     ) -> Approx:
-        first = branch[0][0]
-        if isinstance(first, Dist):
-            pairs: List[Tuple[Any, Fraction]] = []
-            rdiv = mu.residual_div
-            rapp = mu.residual_approx
-            for d, w in branch:
-                if not isinstance(d, Dist):
-                    raise EvalError("mixed sampling codomains")
-                pairs.extend((v, w * q) for v, q in d.points)
-                rdiv += w * d.residual_div
-                rapp += w * d.residual_approx
+        if not branch or isinstance(branch[0][0], Dist):
+            if not all(isinstance(d, Dist) for d, _ in branch):
+                raise EvalError("mixed sampling codomains")
             return Approx(
-                Dist.from_pairs(pairs, residual_div=rdiv, residual_approx=rapp),
+                Dist.mix(branch, mu.residual_div, mu.residual_approx),
                 radius,
                 sided,
             )
+        first = branch[0][0]
         if isinstance(first, float):
             # mean: truncated weighted sum (never truncates in [0,1]);
             # unresolved residual mass is pure uncertainty

@@ -46,7 +46,7 @@ from .imp import (
     Store,
     eval_cmd,
 )
-from .measures import Dist, lift_relation, total_variation, transport
+from .measures import Dist, lift_relation, pushforward, total_variation, transport
 
 StorePred = Callable[[Store, Store], float]
 
@@ -242,13 +242,10 @@ def prp_prf_check(
         out_ri = eval_cmd(ri_prog, ri_prog.body, s0, max_iter=q + 1)
         out_rf = eval_cmd(rf_prog, rf_prog.body, s0, max_iter=q + 1)
         assert out_ri.residual == 0 and out_rf.residual == 0
-        arr_ri = Dist.from_pairs(
-            [(s.array("arr"), w) for s, w in out_ri.points]
+        tv = total_variation(
+            pushforward(lambda s: s.array("arr"), out_ri),
+            pushforward(lambda s: s.array("arr"), out_rf),
         )
-        arr_rf = Dist.from_pairs(
-            [(s.array("arr"), w) for s, w in out_rf.points]
-        )
-        tv = total_variation(arr_ri, arr_rf)
         eps = eps_credit(q, n)
         cumulative_ok = tv <= eps
 

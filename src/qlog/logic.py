@@ -882,7 +882,7 @@ def coupling_value(
     ground metric.  0 means rho really couples mu and nu with zero
     mean; couplings with slack get a positive value.
     """
-    mean = sum(float(w) * relation(x, y) for (x, y), w in rho.joint.points)
+    mean = rho.cost(relation)
     left = kantorovich(ground, rho.left(), mu)
     right = kantorovich(ground, rho.right(), nu)
     return Approx(oplus(oplus(min(mean, 1.0), left), right))

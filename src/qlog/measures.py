@@ -20,15 +20,15 @@ either side has residual mass it adjoins :data:`BOTTOM` to both sides,
 each carrying that side's residual (a zero-mass row or column carries
 no flow); the costs of ``BOTTOM`` come from :func:`lift_relation`.
 
-Support order.  Points with equal :func:`key_of` keys are merged; the
-merged points are sorted by the string ``_sort_token(key_of(v))`` of
-their first-seen value, ties kept in first-seen order.  Both
-constructors, :meth:`Dist.from_pairs` (which merges) and
-``Dist._from_merged`` (given merged points with int masses), sort with
-the one helper ``_sort_support``, and so does ``td``, whose paired
-steps keep ((V, W), mass, distance) rows and build no ``Dist``.  A
-merged support of fewer than 2 points has one order and builds no
-token.  The
+Support order.  :meth:`Dist.from_pairs` is the one constructor: it
+merges points with equal :func:`key_of` keys, checks every weight and
+both residuals for sign and the total for mass 1, and sorts the merged
+points by the string ``_sort_token(key_of(v))`` of their first-seen
+value, ties kept in first-seen order.  :meth:`Dist.mix` is the one
+weighted mixture; :func:`convex` and :func:`bind` go through it.  The
+sort is the one helper ``_sort_support``, which ``td`` also uses for
+its paired steps, kept as ((V, W), mass, distance) rows.  A merged
+support of fewer than 2 points has one order and builds no token.  The
 token spells the key structurally: a tuple is ``"("`` + its components'
 tokens joined by ``","`` + ``")"``, a non-bool int is zero-padded to 24
 places, anything else is its ``repr``.  Floats therefore sort by their
@@ -51,11 +51,8 @@ WeightLike = Union[Fraction, int, float, str]
 
 
 def _as_weight(w: WeightLike) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, float):
-        return Fraction(w)  # exact binary expansion
-    return Fraction(w)
+    # a float converts to its exact binary expansion
+    return w if isinstance(w, Fraction) else Fraction(w)
 
 
 # ---------------------------------------------------------------------------
@@ -211,29 +208,29 @@ class Dist:
         _sort_support(entries)
         pts = tuple([(v, w) for v, w in entries])
         rdiv, rapp = _as_weight(residual_div), _as_weight(residual_approx)
+        if rdiv.numerator < 0:
+            raise ValueError(f"negative residual_div {rdiv}")
+        if rapp.numerator < 0:
+            raise ValueError(f"negative residual_approx {rapp}")
         total = _exact_sum([w for _, w in pts] + [rdiv, rapp])
         if total != 1:
             raise ValueError(f"total mass {total} != 1")
         return Dist(pts, rdiv, rapp)
 
     @staticmethod
-    def _from_merged(points: Iterable[Tuple[Any, int]], den: int) -> "Dist":
-        """A full distribution from already-merged points, each mass an
-        int over the one denominator ``den``.
-
-        The caller guarantees that no two values have equal
-        :func:`key_of` keys; the masses are checked in ints.
-        """
-        pts = list(points)
-        total = 0
-        for v, m in pts:
-            if m <= 0:
-                raise ValueError(f"non-positive weight {m}/{den} at {v!r}")
-            total += m
-        if total != den:
-            raise ValueError(f"total mass {Fraction(total, den)} != 1")
-        _sort_support(pts)
-        return Dist(tuple([(v, Fraction(m, den)) for v, m in pts]))
+    def mix(
+        parts: Iterable[Tuple["Dist", Fraction]],
+        residual_div: WeightLike = 0,
+        residual_approx: WeightLike = 0,
+    ) -> "Dist":
+        """The sum of w * d over the ``(d, w)`` parts, with the given
+        residuals added to the parts' weighted residuals."""
+        pairs: List[Tuple[Any, Fraction]] = []
+        for d, w in parts:
+            pairs.extend([(v, w * q) for v, q in d.points])
+            residual_div += w * d.residual_div
+            residual_approx += w * d.residual_approx
+        return Dist.from_pairs(pairs, residual_div, residual_approx)
 
     # -- basic views ---------------------------------------------------
 
@@ -279,8 +276,8 @@ def dirac(v: Any) -> Dist:
 def empty_subdist(divergent: bool = False) -> Dist:
     """All mass residual: bottom of the subdistribution order."""
     if divergent:
-        return Dist((), Fraction(1), Fraction(0))
-    return Dist((), Fraction(0), Fraction(1))
+        return Dist.from_pairs([], residual_div=1)
+    return Dist.from_pairs([], residual_approx=1)
 
 
 def convex(p: Union[Grade, Fraction, WeightLike], mu: Dist, nu: Dist) -> Dist:
@@ -297,13 +294,7 @@ def convex(p: Union[Grade, Fraction, WeightLike], mu: Dist, nu: Dist) -> Dist:
         p = _as_weight(p)
     if not (0 < p < 1):
         raise ValueError(f"mixing weight must lie in (0,1), got {p}")
-    q = 1 - p
-    pairs = [(v, w * p) for v, w in mu.points] + [(v, w * q) for v, w in nu.points]
-    return Dist.from_pairs(
-        pairs,
-        residual_div=mu.residual_div * p + nu.residual_div * q,
-        residual_approx=mu.residual_approx * p + nu.residual_approx * q,
-    )
+    return Dist.mix([(mu, p), (nu, 1 - p)])
 
 
 def pushforward(f: Callable[[Any], Any], mu: Dist) -> Dist:
@@ -324,20 +315,10 @@ def bind(mu: Dist, f: Callable[[Any], Any]) -> Any:
     or tuples of such, combined componentwise.
     """
     results = [(f(v), w) for v, w in mu.points]
-    if not results:
-        if mu.residual == 0:
-            raise ValueError("cannot bind an empty distribution")
-        return Dist((), mu.residual_div, mu.residual_approx)
+    # a point-free mu has residual 1 and binds to its residuals
+    if not results or isinstance(results[0][0], Dist):
+        return Dist.mix(results, mu.residual_div, mu.residual_approx)
     first = results[0][0]
-    if isinstance(first, Dist):
-        pairs: List[Tuple[Any, Fraction]] = []
-        rdiv = mu.residual_div
-        rapp = mu.residual_approx
-        for d, w in results:
-            pairs.extend((v, w * q) for v, q in d.points)
-            rdiv += w * d.residual_div
-            rapp += w * d.residual_approx
-        return Dist.from_pairs(pairs, residual_div=rdiv, residual_approx=rapp)
     if isinstance(first, (int, float)):
         if mu.residual != 0:
             raise ValueError(

@@ -48,14 +48,12 @@ def sample_value(ev: Evaluator, ty: T.Type, rng: random.Random, size: int = 3) -
         for c in list(cuts) + [den]:
             weights.append(Fraction(c - prev, den))
             prev = c
-        pairs = [
+        # the weights sum to 16/16, so at least one is positive
+        return Dist.from_pairs([
             (sample_value(ev, ty.inner, rng, size), w)
             for w in weights
             if w > 0
-        ]
-        if not pairs:
-            return dirac(sample_value(ev, ty.inner, rng, size))
-        return Dist.from_pairs(pairs)
+        ])
     if isinstance(ty, T.TLolli):
         return _sample_function(ev, ty, rng, size)
     if isinstance(ty, T.TProc):

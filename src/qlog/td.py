@@ -37,7 +37,7 @@ the max of the path's per-state gaps |uv - uw|, each computed once per
 (input row, state, branch).  The support cap is checked on the merged
 count; the rows are then sorted once into support order
 (``measures._sort_support``).  ``td_step`` is the V half of the paired
-step from (v, v), built once into a ``Dist`` (``Dist._from_merged``).
+step from (v, v), built once into a ``Dist`` by ``Dist.from_pairs``.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def td_step(mdp: MDP, v: Tuple[float, ...]) -> Dist:
     half of the paired step from (v, v)."""
     _check_vector(mdp, v)
     rows, den = _paired_masses(mdp, [((v, v), 1, 0.0)], 1)
-    return Dist._from_merged([(pv, m) for (pv, _), m, _ in rows], den)
+    return Dist.from_pairs([(pv, Fraction(m, den)) for (pv, _), m, _ in rows])
 
 
 def d_max(v: Tuple[float, ...], w: Tuple[float, ...]) -> float:

@@ -240,6 +240,7 @@ class LetSample(Term):  # sample from a distribution into a mixture type
     bound: Term
     body: Term
     bind_grade: Optional[Grade] = None  # filled by the typechecker
+    body_type: Optional[Type] = None  # filled by the typechecker
 
 
 @dataclass(eq=False)
@@ -464,7 +465,7 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
 
 # annotations the typechecker derives (rather than the user writes) are
 # excluded so elaborated and freshly-built terms compare equal
-_DERIVED = {"at_type", "bind_grade", "contraction"}
+_DERIVED = {"at_type", "bind_grade", "body_type", "contraction"}
 
 
 def alpha_key(t: Term, env: Optional[Dict[str, int]] = None, depth: int = 0):

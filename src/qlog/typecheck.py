@@ -353,6 +353,7 @@ class Checker:
                     t,
                 )
             t.bind_grade = r
+            t.body_type = ity
             return ity, _u_add(_u_drop(iu, t.name), _u_scale(r, bu))
 
         if isinstance(t, T.Zero):

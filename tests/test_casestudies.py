@@ -282,7 +282,7 @@ def _paired_step(mdp, pair_dist):
         den,
     )
     assert [d for _, _, d in rows] == [d_max(*vw) for vw, _, _ in rows]
-    return Dist._from_merged([(vw, m) for vw, m, _ in rows], den)
+    return Dist.from_pairs([(vw, F(m, den)) for vw, m, _ in rows])
 
 
 def _paired_step_reference(mdp, pair_dist):

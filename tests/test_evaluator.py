@@ -86,6 +86,31 @@ def test_fix_rerun_moves_at_most_radius():
     assert moved.value <= out1.radius + 1e-12
 
 
+def test_sampling_a_point_free_measure_into_a_non_dist_body():
+    # the first unfolding samples the empty measure into Prop; the true
+    # fixed point is delta(0.0), as its mean m satisfies m = m/2
+    src = "fix x : Dist Prop. delta(let y = x in y) (+ 1/2) delta(tt)"
+    for fuel in (1, 3):
+        out = run(src, expected="Dist Prop", fuel=fuel)
+        d = deref(out.value)
+        assert [type(v) for v in d.support()] == [float]
+        _, ev = make_eval()
+        err = ev.distance_at(parse_type("Dist Prop"), d, dirac(0.0))
+        assert err.value <= out.radius
+    # any value of the body's type is within radius 1; a Dist body keeps
+    # the sampled measure's residuals
+    empty = {"x": Approx(Dist.from_pairs([], residual_approx=1))}
+    for body, ty, want in [
+        ("y", "Prop", 0.0),
+        ("(y, [1/2] y)[1,1]", "Prop *[1,1] Prop", (0.0, 0.0)),
+        ("delta(y)", "Dist Prop", empty["x"].value),
+    ]:
+        out = run(f"let y = x in {body}", types={"x": parse_type("Dist Prop")},
+                  env=empty, expected=ty)
+        assert out.value == want
+        assert out.radius == (0.0 if ty == "Dist Prop" else 1.0)
+
+
 def test_distance_at_base_types():
     ck, ev = make_eval()
     assert ev.distance_at(NAT, 3, 3).value == 0.0

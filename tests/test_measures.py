@@ -14,6 +14,7 @@ from qlog.measures import (
     dirac,
     dist_from_json,
     dist_to_json,
+    empty_subdist,
     kantorovich,
     kantorovich_oracle,
     key_of,
@@ -75,6 +76,16 @@ def test_bind():
     # mean into truth values: weighted truncated sum
     mean = bind(MU, lambda k: 0.2 if k == 0 else 0.4)
     assert mean == pytest.approx(0.3)
+    # a point-free distribution binds to its residuals, both kept
+    for divergent in (True, False):
+        bottom = empty_subdist(divergent)
+        out = bind(bottom, lambda k: dirac(k + 1))
+        assert out == bottom and out.points == ()
+        assert (out.residual_div, out.residual_approx) == (
+            (F(1), F(0)) if divergent else (F(0), F(1))
+        )
+    half = Dist.from_pairs([], residual_div=F(1, 4), residual_approx=F(3, 4))
+    assert bind(half, lambda k: dirac(k)) == half
     # homomorphism in the measure argument
     rng = random.Random(8)
     for _ in range(50):
@@ -187,6 +198,11 @@ def test_json_round_trip():
     assert blob["residual"] == 0.25 and blob["residual_divergent"] == 0.25
     back = dist_from_json(blob)
     assert back.weight(0) == F(1, 4) and back.residual_div == F(1, 4)
+    # a divergent part larger than the whole residual is rejected, even
+    # though the masses still sum to 1
+    blob["residual_divergent"] = 0.5
+    with pytest.raises(ValueError, match=r"^negative residual_approx -1/4$"):
+        dist_from_json(blob)
 
 
 # -- support order and merging ------------------------------------------------
@@ -303,33 +319,13 @@ def test_from_pairs_rejects_bad_mass():
     with pytest.raises(ValueError, match=r"total mass 0 != 1"):
         Dist.from_pairs([(0, 0)])
     assert Dist.from_pairs([(0, 0), (1, 1)]) == dirac(1)
-
-
-def test_from_merged_sorts_like_from_pairs():
-    values = [(0.5, -0.0), 10.0, 2, (1e-05,), "a", 0.25, (2.0, (0.0,))]
-    masses = [3, 1, 4, 1, 5, 9, 1]
-    got = Dist._from_merged(zip(values, masses), 24)
-    want = Dist.from_pairs([(v, F(m, 24)) for v, m in zip(values, masses)])
-    assert [(repr(v), w) for v, w in got.points] == [
-        (repr(v), w) for v, w in want.points
-    ]
-    assert got == want and got.residual == 0
-    assert Dist._from_merged([("x", 3)], 3) == dirac("x")
-
-
-@pytest.mark.parametrize(
-    "points, den, message",
-    [
-        ([(0, 1), (1, 1)], 3, r"total mass 2/3 != 1"),
-        ([(0, 3), (1, 1)], 3, r"total mass 4/3 != 1"),
-        ([(0, 3), (1, 0)], 3, r"non-positive weight 0/3 at 1"),
-        ([(0, 4), (1, -1)], 3, r"non-positive weight -1/3 at 1"),
-        ([], 1, r"total mass 0 != 1"),
-    ],
-)
-def test_from_merged_rejects_bad_mass(points, den, message):
-    with pytest.raises(ValueError, match=message):
-        Dist._from_merged(points, den)
+    # residuals are non-negative, even when the total is 1
+    with pytest.raises(ValueError, match=r"^negative residual_div -1/2$"):
+        Dist.from_pairs([(0, F(3, 2))], residual_div=F(-1, 2))
+    with pytest.raises(ValueError, match=r"^negative residual_approx -1/2$"):
+        Dist.from_pairs([(0, 1)], residual_div=F(1, 2), residual_approx=-0.5)
+    with pytest.raises(ValueError, match=r"^negative residual_div -1$"):
+        Dist.from_pairs([], residual_div=-1, residual_approx=2)
 
 
 def test_from_pairs_small_supports_keep_point_weight_and_residuals():
@@ -497,6 +493,13 @@ def test_from_pairs_matches_reference_property():
             rdiv = rapp = 0
         got = _outcome(lambda: Dist.from_pairs(pairs, rdiv, rapp))
         want = _outcome(lambda: _from_pairs_reference(pairs, rdiv, rapp))
+        if not isinstance(want[0], type) or want[1].startswith("total mass"):
+            # the one documented difference: a negative residual is now
+            # rejected by name, before the total-mass check
+            for name, r in (("residual_div", rdiv), ("residual_approx", rapp)):
+                if _as_weight(r) < 0:
+                    want = ValueError, f"negative {name} {_as_weight(r)}"
+                    break
         assert got == want
 
     check()

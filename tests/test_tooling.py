@@ -132,6 +132,35 @@ def test_no_function_level_package_imports():
     assert local == []
 
 
+def test_only_from_pairs_builds_a_dist():
+    """No module of the package calls ``Dist(...)`` outside
+    ``Dist.from_pairs``, so every distribution has its points merged and
+    sorted, and its weights, residuals and total mass checked, in one
+    place."""
+    import ast
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "qlog")
+    calls = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        inside = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "Dist":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "from_pairs":
+                        inside.update(id(n) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            f = node.func
+            if getattr(f, "id", None) == "Dist" or getattr(f, "attr", None) == "Dist":
+                calls.append(f"{fname}:{node.lineno}")
+    assert calls == []
+
+
 def test_grammar_doc_lists_the_rule_table():
     """The rule table of ``docs/grammar.md`` is ``logic.RULES``: each row
     gives the bound variables per premise and the rules that share them."""
