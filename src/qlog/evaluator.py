@@ -30,7 +30,9 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from .grades import Grade, ONE, ZERO, oplus, scale_prop, wand
-from .measures import Dist, convex, dirac, empty_subdist, key_of, lift_relation, transport
+from .measures import (
+    Dist, convex, dirac, empty_subdist, expectation, key_of, lift_relation, transport
+)
 from . import terms as T
 from .normalize import normal_form
 from .parser import parse_term
@@ -571,7 +573,7 @@ class Evaluator:
         if isinstance(first, float):
             # mean: truncated weighted sum (never truncates in [0,1]);
             # unresolved residual mass is pure uncertainty
-            val = float(sum(float(w) * float(x) for x, w in branch))
+            val = expectation(branch)
             return Approx(val, _cap(radius + float(mu.residual)), sided)
         if isinstance(first, tuple):
             lefts = [(x[0], w) for x, w in branch]

@@ -26,15 +26,14 @@ both residuals for sign and the total for mass 1, and sorts the merged
 points by the string ``_sort_token(key_of(v))`` of their first-seen
 value, ties kept in first-seen order.  :meth:`Dist.mix` is the one
 weighted mixture; :func:`convex` and :func:`bind` go through it.  The
-sort is the one helper ``_sort_support``, which ``td`` also uses for
-its paired steps, kept as ((V, W), mass, distance) rows.  A merged
-support of fewer than 2 points has one order and builds no token.  The
-token spells the key structurally: a tuple is ``"("`` + its components'
-tokens joined by ``","`` + ``")"``, a non-bool int is zero-padded to 24
-places, anything else is its ``repr``.  Floats therefore sort by their
+sort is the one helper ``_sort_support``.  A merged support of fewer
+than 2 points has one order and builds no token.  The token spells the
+key structurally: a tuple is ``"("`` + its components' tokens joined
+by ``","`` + ``")"``, a non-bool int is zero-padded to 24 places,
+anything else is its ``repr``.  Floats therefore sort by their
 ``repr`` (``0.5`` before ``10.0`` before ``1e-05`` before ``2.0``), not
-numerically.  The order is part of the output: float sums over a
-support (means, coupling costs) follow it.
+numerically.  No float depends on that order: a mean or cost over a
+support is :func:`expectation`, the exact sum rounded once.
 """
 
 from __future__ import annotations
@@ -172,6 +171,31 @@ def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
             den = common
         num += w.numerator * (den // d)
     return Fraction(num, den)
+
+
+def expectation(pairs: Iterable[Tuple[Any, Any]], den: int = 1) -> float:
+    """The float nearest the exact sum of w * x / den over ``(x, w)``
+    pairs (w an int or a ``Fraction``, x made a float): one int
+    over lcm(weight denominators) * den * 2**shift, in any order,
+    rounded once by int true division."""
+    num, scale, shift = 0, 1, 0
+    for x, w in pairs:
+        if type(x) is not float:
+            x = float(x)
+        n, p = x.as_integer_ratio()
+        k = p.bit_length() - 1
+        if type(w) is not int:
+            d = w.denominator
+            if scale % d:
+                common = math.lcm(scale, d)
+                num *= common // scale
+                scale = common
+            w = w.numerator * (scale // d)
+        if k > shift:
+            num <<= k - shift
+            shift = k
+        num += w * n << (shift - k)
+    return num / (scale * den << shift)
 
 
 @dataclass(frozen=True)
@@ -324,7 +348,7 @@ def bind(mu: Dist, f: Callable[[Any], Any]) -> Any:
             raise ValueError(
                 "mean over a subdistribution needs explicit bottom handling"
             )
-        return float(sum(float(w) * float(x) for x, w in results))
+        return expectation(results)
     if isinstance(first, tuple):
         if mu.residual != 0:
             raise ValueError("componentwise bind requires a full distribution")
@@ -360,9 +384,7 @@ class Coupling:
         return pushforward(lambda p: p[1], self.joint)
 
     def cost(self, metric: Callable[[Any, Any], float]) -> float:
-        return float(
-            sum(float(w) * metric(x, y) for (x, y), w in self.joint.points)
-        )
+        return expectation([(metric(x, y), w) for (x, y), w in self.joint.points])
 
 
 def lift_relation(post: Callable[[Any, Any], float], mode: str) -> Callable:
@@ -499,6 +521,8 @@ def dist_from_json(obj: dict, value_codec: Callable[[Any], Any] = lambda v: v) -
     pairs = [(value_codec(e["v"]), Fraction(e["w"])) for e in obj["support"]]
     residual = Fraction(obj.get("residual", 0))
     div = Fraction(obj.get("residual_divergent", 0))
+    if div > residual:
+        raise ValueError(f"residual_divergent {div} exceeds residual {residual}")
     return Dist.from_pairs(
         pairs, residual_div=div, residual_approx=residual - div
     )

@@ -23,21 +23,21 @@ W) <= lp_cap**2, counted over the support of the paired distribution,
 and only then are the marginal measures of V and W built, with one
 ``Fraction`` per point.  Each support point is a distinct (V, W) pair,
 so a support larger than lp_cap**2 decides the coupling route without
-counting.  The coupling cost is the float sum of (m / den) * d over
-the rows in support order; ``m / den`` is correctly rounded, so it is
-the float of ``Fraction(m, den)``.
+counting.  The coupling cost is the exact sum of m * d / den over the
+rows, rounded once (``measures.expectation``).
 
 Masses.  Between steps the paired distribution is a list of rows
 ((V, W), m, d): m is a Python int over one denominator ``den``, the
 input's denominator times the product of the branch tables'
 denominators, and d is d_max(V, W).  A step builds no ``Dist`` and no
 ``Fraction``.  Paths are merged in a dict keyed by the raw (V, W)
-tuple, whose equality on all-float tuples is ``key_of`` equality; d is
-the max of the path's per-state gaps |uv - uw|, each computed once per
-(input row, state, branch).  The support cap is checked on the merged
-count; the rows are then sorted once into support order
-(``measures._sort_support``).  ``td_step`` is the V half of the paired
-step from (v, v), built once into a ``Dist`` by ``Dist.from_pairs``.
+tuple, whose equality on all-float tuples is ``key_of`` equality (so
+the route rule counts raw V and W tuples too); d is the max of the
+path's per-state gaps |uv - uw|, each computed once per (input row,
+state, branch).  The support cap is checked on the merged count.  The
+rows stay in first-seen order, never sorted: nothing reported depends
+on their order.  ``td_step`` is the V half of the paired step from
+(v, v), built once into a ``Dist`` by ``Dist.from_pairs``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Tuple
 
-from .measures import Dist, _sort_support, dirac, kantorovich, key_of
+from .measures import Dist, dirac, expectation, kantorovich
 
 
 @dataclass
@@ -209,12 +209,10 @@ def td_contraction_check(
         rows, den = _paired_masses(mdp, rows, den)
         if len(rows) > support_cap:
             raise ValueError(f"support blow-up: {len(rows)} pairs at step {m}")
-        _sort_support(rows)
         bound *= kf
-        coupling_cost = float(sum([(q / den) * d for _, q, d in rows]))
+        coupling_cost = expectation([(d, q) for _, q, d in rows], den)
         if len(rows) <= cap and (
-            len({key_of(pv) for (pv, _), _, _ in rows})
-            * len({key_of(pw) for (_, pw), _, _ in rows})
+            len({pv for (pv, _), _, _ in rows}) * len({pw for (_, pw), _, _ in rows})
             <= cap
         ):
             mu = Dist.from_pairs([(pv, Fraction(q, den)) for (pv, _), q, _ in rows])

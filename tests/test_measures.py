@@ -15,6 +15,7 @@ from qlog.measures import (
     dist_from_json,
     dist_to_json,
     empty_subdist,
+    expectation,
     kantorovich,
     kantorovich_oracle,
     key_of,
@@ -25,6 +26,7 @@ from qlog.measures import (
     transport,
 )
 from qlog.measures import _as_weight, _order_token, _sort_support
+from qlog.evaluator import Evaluator
 from qlog.transport import TransportError, brute_force_transport, solve_transport
 
 DISC = lambda a, b: 0.0 if a == b else 1.0
@@ -197,7 +199,9 @@ def test_json_round_trip():
     # a divergent part larger than the whole residual is rejected, even
     # though the masses still sum to 1
     blob["residual_divergent"] = 0.5
-    with pytest.raises(ValueError, match=r"^negative residual_approx -1/4$"):
+    with pytest.raises(
+        ValueError, match=r"^residual_divergent 1/2 exceeds residual 1/4$"
+    ):
         dist_from_json(blob)
 
 
@@ -497,6 +501,58 @@ def test_from_pairs_matches_reference_property():
                     want = ValueError, f"negative {name} {_as_weight(r)}"
                     break
         assert got == want
+
+    check()
+
+
+def _exactly_rounded(pairs, den=1):
+    """float(sum of w * x / den) in Fraction arithmetic: the reference
+    for every float mean and cost over a support."""
+    return float(sum((F(w) * F(x) for x, w in pairs), F(0)) / den)
+
+
+def test_expectation_is_the_exact_sum_rounded_once_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    xs = st.one_of(
+        st.floats(min_value=-1e300, max_value=1e300),  # subnormals included
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.1, 1 / 3, 1.0]),
+    )
+    weights = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.lists(st.tuples(xs, weights), max_size=8),
+        st.lists(st.tuples(xs, st.integers(0, 2**70)), max_size=8),
+        st.integers(1, 2**70),
+        st.randoms(use_true_random=False),
+    )
+    def check(pairs, int_pairs, den, rng):
+        den += sum(q for _, q in int_pairs)  # masses sum to at most 1
+        # Fraction weights, as in bind, Coupling.cost and the evaluator
+        want = _exactly_rounded(pairs)
+        assert expectation(pairs).hex() == want.hex()
+        # int masses over one denominator, as in td
+        want_int = _exactly_rounded(int_pairs, den)
+        assert expectation(int_pairs, den).hex() == want_int.hex()
+        for ps, d, w in ((pairs, 1, want), (int_pairs, den, want_int)):
+            ps = list(ps)
+            rng.shuffle(ps)
+            assert expectation(ps, d).hex() == w.hex()
+        # the sites: points merge on distinct keys, so index them
+        total = sum((w for _, w in pairs), F(0))
+        if not total:
+            return
+        points = [((i, x), w / total) for i, (x, w) in enumerate(pairs) if w]
+        normal = [(x, w) for (_, x), w in points]
+        mu = Dist.from_pairs(points)
+        want = _exactly_rounded(normal)
+        assert bind(mu, lambda v: v[1]).hex() == want.hex()
+        rho = Coupling(mu)
+        assert rho.cost(lambda i, x: x).hex() == want.hex()
+        rng.shuffle(normal)
+        got = Evaluator()._combine_branches(mu, normal, 0.0, None)
+        assert got.value.hex() == want.hex()
 
     check()
 

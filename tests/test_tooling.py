@@ -161,6 +161,30 @@ def test_only_from_pairs_builds_a_dist():
     assert calls == []
 
 
+def test_td_calls_no_sort():
+    """``td`` never sorts: no ``sorted(...)``, no ``.sort(...)`` and no
+    ``_sort_support``.  Its rows, their masses and distances, the
+    coupling cost (an exact sum rounded once) and the exact LP optimum
+    do not depend on order, so a sort would be pure cost."""
+    import ast
+
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "qlog", "td.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) == "sorted" or getattr(f, "attr", None) == "sort":
+                found.append(f"td.py:{node.lineno}")
+        names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [a.asname or a.name for a in node.names]
+        if "_sort_support" in names:
+            found.append(f"td.py:{node.lineno}: _sort_support")
+    assert found == []
+
+
 def test_grammar_doc_lists_the_rule_table():
     """The rule table of ``docs/grammar.md`` is ``logic.RULES``: each row
     gives the bound variables per premise and the rules that share them."""
