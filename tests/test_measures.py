@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qlog.evaluator import Evaluator
 from qlog.measures import (
     BOTTOM,
     Coupling,
@@ -26,7 +27,6 @@ from qlog.measures import (
     transport,
 )
 from qlog.measures import _as_weight, _order_token, _sort_support
-from qlog.evaluator import Evaluator
 from qlog.transport import TransportError, brute_force_transport, solve_transport
 
 DISC = lambda a, b: 0.0 if a == b else 1.0
