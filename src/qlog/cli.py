@@ -418,7 +418,7 @@ def main(argv=None) -> int:
     sp.add_argument("--alpha", type=_fraction, default="1/2")
     sp.add_argument("--gamma", type=_fraction, default="1/2")
     sp.add_argument("--n", type=_positive_int, default=3)
-    sp.add_argument("--l", type=_non_negative_int, default=3)
+    sp.add_argument("--l", type=_positive_int, default=3)
     sp.set_defaults(fn=cmd_casestudy)
 
     sp = sub.add_parser("hoare", parents=[common])

@@ -223,9 +223,13 @@ def prp_prf_check(
     cumulative total-variation distance between the array outputs
     stays below q(q-1)/2n; and credits telescope exactly.
     """
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
     if length > n:
         raise ValueError("need array length <= value range")
     max_q = length if max_q is None else max_q
+    if not 1 <= max_q <= length:
+        raise ValueError(f"max_q must lie in 1..length = 1..{length}, got {max_q}")
     report = PrpReport(length=length, n=n)
     report.nth_unused_ok = check_nth_unused(length, n)
     report.ok = report.nth_unused_ok
@@ -241,7 +245,8 @@ def prp_prf_check(
         s0 = ri_prog.initial_store()
         out_ri = eval_cmd(ri_prog, ri_prog.body, s0, max_iter=q + 1)
         out_rf = eval_cmd(rf_prog, rf_prog.body, s0, max_iter=q + 1)
-        assert out_ri.residual == 0 and out_rf.residual == 0
+        if out_ri.residual or out_rf.residual:
+            raise RuntimeError(f"Q={q}: residual mass left after q + 1 unfoldings")
         tv = total_variation(
             pushforward(lambda s: s.array("arr"), out_ri),
             pushforward(lambda s: s.array("arr"), out_rf),

@@ -43,7 +43,7 @@ from itertools import count, islice
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .measures import Dist
+from .measures import Dist, _sort_token
 
 
 class ImpError(ValueError):
@@ -66,23 +66,52 @@ class ImpError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class Layout(dict):
+    """Where each location of a store sits: a dict from location to its
+    index in ``items``.  It also carries each location's token head,
+    ``"(" + _sort_token(location) + ","``, and for each array the
+    indices of its slots in slot order.  Built once from the locations
+    of a store and shared by every store :meth:`Store.set` derives."""
+
+    __slots__ = ("heads", "arrays")
+
+    def __init__(self, keys):
+        super().__init__((k, i) for i, k in enumerate(keys))
+        if len(self) < len(keys):
+            dup = next(k for i, k in enumerate(keys) if self[k] != i)
+            raise ImpError(f"duplicate location {dup}")
+        self.heads = tuple("(" + _sort_token(k) + "," for k in keys)
+        arrays: Dict[str, List[Tuple[int, int]]] = {}
+        for i, k in enumerate(keys):
+            if isinstance(k, tuple) and len(k) > 1:
+                arrays.setdefault(k[0], []).append((k[1], i))
+        self.arrays = {a: tuple(i for _, i in sorted(s)) for a, s in arrays.items()}
+
+
 @dataclass(frozen=True)
 class Store:
     """Total assignment of naturals to the declared locations.
 
     Array slots are addressed as ("arr", index).  Immutable and usable
-    as a distribution support point.  ``slots`` maps each location to
-    its index in ``items``, built once per layout and shared by every
-    store :meth:`set` derives; equality, hashing and ``repr`` ignore it.
+    as a distribution support point.  ``slots`` is the store's
+    :class:`Layout`: each location's index in ``items``, its sort token
+    head and each array's slot indices.  A store built directly gets a
+    layout of its own unless it is handed the layout of the same
+    locations; :meth:`set` shares its layout with the store it derives.
+    Equality, hashing and ``repr`` ignore it.
     """
 
     items: Tuple[Tuple[Union[str, Tuple[str, int]], int], ...]
-    slots: Dict = field(default=None, compare=False, repr=False)
+    slots: Layout = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.slots is None:
-            slots = {k: i for i, (k, _) in enumerate(self.items)}
-            object.__setattr__(self, "slots", slots)
+        keys = [k for k, _ in self.items]
+        layout = self.slots
+        if not (
+            isinstance(layout, Layout) and len(layout) == len(keys)
+            and all(layout.get(k) == i for i, k in enumerate(keys))
+        ):
+            object.__setattr__(self, "slots", Layout(keys))
 
     @staticmethod
     def of(mapping: Dict) -> "Store":
@@ -95,20 +124,30 @@ class Store:
         return self.items[i][1]
 
     def set(self, key, value: int) -> "Store":
-        i = self.slots.get(key)
+        layout = self.slots
+        i = layout.get(key)
         if i is None:
             raise ImpError(f"undeclared location {key}")
         items = self.items
-        return Store(items[:i] + ((items[i][0], value),) + items[i + 1 :], self.slots)
+        # the same locations: skip __init__, whose __post_init__ checks the layout
+        out = object.__new__(Store)
+        fields = out.__dict__
+        fields["items"] = items[:i] + ((items[i][0], value),) + items[i + 1 :]
+        fields["slots"] = layout
+        return out
 
     def array(self, name: str) -> Tuple[int, ...]:
-        slots = sorted(
-            (k[1], v) for k, v in self.items if isinstance(k, tuple) and k[0] == name
-        )
-        return tuple(v for _, v in slots)
+        items = self.items
+        return tuple([items[i][1] for i in self.slots.arrays.get(name, ())])
 
     def dist_key(self):
         return ("store", self.items)
+
+    def sort_token(self) -> str:
+        """``_sort_token(key_of(self))``, from the layout's heads."""
+        heads = self.slots.heads
+        tokens = [h + _sort_token(v) + ")" for h, (_, v) in zip(heads, self.items)]
+        return "('store',(" + ",".join(tokens) + "))"
 
     def __repr__(self):
         return "{" + ", ".join(f"{k}={v}" for k, v in self.items) + "}"

@@ -24,20 +24,28 @@ Support order.  :meth:`Dist.from_pairs` is the one constructor: it
 merges points with equal :func:`key_of` keys, checks every weight and
 both residuals for sign and the total for mass 1, and sorts the merged
 points by the string ``_sort_token(key_of(v))`` of their first-seen
-value, ties kept in first-seen order.  :meth:`Dist.mix` is the one
-weighted mixture; :func:`convex` and :func:`bind` go through it.  The
-sort is the one helper ``_sort_support``.  A merged support of fewer
-than 2 points has one order and builds no token.  The token spells the
-key structurally: a tuple is ``"("`` + its components' tokens joined
-by ``","`` + ``")"``, a non-bool int is zero-padded to 24 places,
-anything else is its ``repr``.  Floats therefore sort by their
-``repr`` (``0.5`` before ``10.0`` before ``1e-05`` before ``2.0``), not
-numerically.  No float depends on that order: a mean or cost over a
-support is :func:`expectation`, the exact sum rounded once.
+value, ties kept in first-seen order.  The mass check is one int sum
+over the running lcm of the denominators, ``_int_sum``, which
+:attr:`Dist.mass` shares.  One point of weight 1 with zero residuals,
+as every :func:`dirac` and every deterministic ``imp`` step builds,
+returns before the merge.  :meth:`Dist.mix` is the one weighted
+mixture; :func:`convex` and :func:`bind` go through it.  The sort is
+the one helper ``_sort_support``.  A merged support of fewer than 2
+points has one order and builds no token.  The token spells the key
+structurally: a tuple is ``"("`` + its components' tokens joined by
+``","`` + ``")"``, a non-bool int is zero-padded to 24 places,
+anything else is its ``repr``.  A value with a ``sort_token()``
+method hands over that token itself: :class:`qlog.imp.Store` builds
+it from its layout's per-location heads and ``_sort_token`` of each
+value.  Floats sort by their ``repr`` (``0.5`` before ``10.0`` before
+``1e-05`` before ``2.0``), not numerically.  No float depends on that
+order: a mean or cost over a support is :func:`expectation`, the exact
+sum rounded once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +55,8 @@ from .grades import Grade
 from .transport import brute_force_transport, solve_transport
 
 WeightLike = Union[Fraction, int, float, str]
+
+_ZERO = Fraction(0)
 
 
 def _as_weight(w: WeightLike) -> Fraction:
@@ -149,6 +159,9 @@ def _order_token(v: Any, floats: Dict[float, str]) -> str:
         return f"('int',{v:024d})"
     if t is str or t is bool:
         return "('" + t.__name__ + "'," + repr(v) + ")"
+    m = getattr(v, "sort_token", None)
+    if m is not None:
+        return m()
     return _sort_token(key_of(v))
 
 
@@ -160,8 +173,9 @@ def _sort_support(points: List[Any]) -> None:
         points.sort(key=lambda p: _order_token(p[0], floats))
 
 
-def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
-    """Exact sum, accumulated as an integer over a common denominator."""
+def _int_sum(weights: Iterable[Fraction]) -> Tuple[int, int]:
+    """Exact sum as (numerator, denominator) ints over the running lcm
+    of the denominators, not reduced: the sum is 1 when they are equal."""
     num, den = 0, 1
     for w in weights:
         d = w.denominator
@@ -170,7 +184,7 @@ def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
             num *= common // den
             den = common
         num += w.numerator * (den // d)
-    return Fraction(num, den)
+    return num, den
 
 
 def expectation(pairs: Iterable[Tuple[Any, Any]], den: int = 1) -> float:
@@ -214,6 +228,15 @@ class Dist:
         residual_div: WeightLike = 0,
         residual_approx: WeightLike = 0,
     ) -> "Dist":
+        if type(pairs) is not list:
+            pairs = list(pairs)
+        if len(pairs) == 1 and not residual_div and not residual_approx:
+            # one point of weight 1: every deterministic step lands here
+            v, w = pairs[0]
+            if type(w) is not Fraction:
+                w = _as_weight(w)
+            if w == 1:
+                return Dist(((v, w),), _ZERO, _ZERO)
         merged: Dict[Any, List[Any]] = {}
         for v, w in pairs:
             if type(w) is not Fraction:
@@ -236,9 +259,9 @@ class Dist:
             raise ValueError(f"negative residual_div {rdiv}")
         if rapp.numerator < 0:
             raise ValueError(f"negative residual_approx {rapp}")
-        total = _exact_sum([w for _, w in pts] + [rdiv, rapp])
-        if total != 1:
-            raise ValueError(f"total mass {total} != 1")
+        num, den = _int_sum(itertools.chain((rdiv, rapp), [w for _, w in pts]))
+        if num != den:
+            raise ValueError(f"total mass {Fraction(num, den)} != 1")
         return Dist(pts, rdiv, rapp)
 
     @staticmethod
@@ -260,7 +283,7 @@ class Dist:
 
     @property
     def mass(self) -> Fraction:
-        return _exact_sum(w for _, w in self.points)
+        return Fraction(*_int_sum([w for _, w in self.points]))
 
     @property
     def residual(self) -> Fraction:

@@ -26,7 +26,8 @@ from qlog.imp import (
     parse_imp,
     parse_store_pred,
 )
-from qlog.measures import BOTTOM, Dist, dirac, kantorovich, total_variation
+from qlog.measures import BOTTOM, Dist, dirac, kantorovich, key_of, total_variation
+from qlog.measures import _order_token, _sort_token
 
 
 def prog_of(src):
@@ -459,6 +460,96 @@ def test_store_slots_leave_identity_unchanged():
             built.get(key)
         with pytest.raises(ImpError, match="undeclared location"):
             built.set(key, 1)
+    # a store assigns each location once
+    with pytest.raises(ImpError, match=r"^duplicate location \('arr', 0\)$"):
+        Store(built.items + ((("arr", 0), 1),))
+
+
+def _ref_array(store, name):
+    """``Store.array`` as a sorted scan over the items."""
+    slots = sorted(
+        (k[1], v) for k, v in store.items if isinstance(k, tuple) and k[0] == name
+    )
+    return tuple(v for _, v in slots)
+
+
+def _ref_order(stores):
+    """Merged stores in support order: the first-seen store of each
+    ``key_of`` key, sorted by ``_sort_token(key_of(s))``."""
+    first = {}
+    for s in stores:
+        first.setdefault(key_of(s), s)
+    return sorted(first.values(), key=lambda s: _sort_token(key_of(s)))
+
+
+def _assert_store_order(stores, rng):
+    for s in stores:
+        want = _sort_token(key_of(s))
+        assert s.sort_token() == want
+        assert _order_token(s, {}) == want
+        for name in ("a", "arr", "b", "i", "zz"):
+            assert s.array(name) == _ref_array(s, name)
+    pairs = [(s, F(1, len(stores))) for s in stores]
+    rng.shuffle(pairs)
+    got = Dist.from_pairs(pairs).support()
+    want = _ref_order([s for s, _ in pairs])
+    assert [repr(s) for s in got] == [repr(s) for s in want]
+    assert got == want
+
+
+def test_store_tokens_arrays_and_order_property():
+    """A store's sort token comes from its layout's heads and its arrays
+    from the layout's slot indices; both must equal the generic rules,
+    also where the layout was handed in from another store or empty."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    values = st.one_of(
+        st.integers(0, 30), st.booleans(), st.integers(10**24, 10**30)
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.dictionaries(st.sampled_from(["a", "arr", "b"]), st.integers(11, 13),
+                        min_size=1),
+        st.lists(st.sampled_from(["i", "tmp", "val"]), unique=True),
+        st.data(),
+    )
+    def check(arrays, locs, data):
+        keys = locs + [(a, j) for a, size in arrays.items() for j in range(size)]
+        stores = [
+            Store.of({k: data.draw(values) for k in keys})
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        # repr order puts ('a', 10) before ('a', 2): not the index order
+        assert [k for k, _ in stores[0].items if k in keys[len(locs):]] != keys[len(locs):]
+        for _ in range(data.draw(st.integers(0, 4))):
+            base = data.draw(st.sampled_from(stores))
+            stores.append(base.set(data.draw(st.sampled_from(keys)), data.draw(values)))
+        renamed = Store(tuple((("q", j), 0) for j in range(len(keys))))
+        reordered = Store(tuple((k, 0) for k in keys))  # same keys, index order
+        for layout in ({}, renamed.slots, reordered.slots, stores[0].slots):
+            rebuilt = Store(stores[-1].items, layout)
+            assert rebuilt == stores[-1]
+            stores.append(rebuilt.set(keys[-1], data.draw(values)))
+        _assert_store_order(stores, random.Random(data.draw(st.integers(0, 99))))
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "length, n, max_q, message",
+    [
+        (0, 3, None, "length must be at least 1, got 0"),
+        (-1, 3, None, "length must be at least 1, got -1"),
+        (3, 2, None, "need array length <= value range"),
+        (2, 2, 3, r"max_q must lie in 1\.\.length = 1\.\.2, got 3"),
+        (2, 2, 0, r"max_q must lie in 1\.\.length = 1\.\.2, got 0"),
+        (2, 2, -1, r"max_q must lie in 1\.\.length = 1\.\.2, got -1"),
+    ],
+)
+def test_prp_rejects_nonsense_parameters(length, n, max_q, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        prp_prf_check(length, n, max_q)
 
 
 def test_array_size_must_be_a_number():

@@ -505,6 +505,20 @@ def test_from_pairs_matches_reference_property():
     check()
 
 
+@pytest.mark.parametrize("weight", [1, 1.0, "1", F(1)])
+@pytest.mark.parametrize("residuals", [(), (0, 0), (0.0, "0"), (F(0), -0.0)])
+def test_from_pairs_one_point_matches_reference(weight, residuals):
+    """A single point of weight 1 with zero residuals returns before the
+    merge: the same point, weight type and residual types as the
+    reference, from a list or any other iterable."""
+    for v in (0, -0.0, (0.5, -0.0), "x", True, None):
+        want = _outcome(lambda: _from_pairs_reference([(v, weight)], *residuals))
+        assert want[0] == [(repr(v), 1, F)]
+        assert _outcome(lambda: Dist.from_pairs([(v, weight)], *residuals)) == want
+        assert _outcome(lambda: Dist.from_pairs(iter([(v, weight)]), *residuals)) == want
+        assert _outcome(lambda: Dist.from_pairs({v: weight}.items(), *residuals)) == want
+
+
 def _exactly_rounded(pairs, den=1):
     """float(sum of w * x / den) in Fraction arithmetic: the reference
     for every float mean and cost over a support."""

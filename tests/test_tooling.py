@@ -185,6 +185,61 @@ def test_td_calls_no_sort():
     assert found == []
 
 
+def test_no_cross_call_caches():
+    """No function of the package keeps state from one call to the next:
+    none mutates a module-level dict, list or set (by item assignment or
+    deletion, a mutating method or a ``global`` rebinding), and none is
+    wrapped in ``functools.lru_cache`` or ``functools.cache``.  The
+    benchmark repeats its items and relies on this."""
+    import ast
+
+    mutators = {"append", "extend", "insert", "add", "update", "setdefault",
+                "pop", "popitem", "remove", "discard", "clear"}
+    caches = {"lru_cache", "cache"}
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "qlog")
+    found = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        shared = set()
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            value = getattr(node, "value", None)
+            mutable = isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                         ast.ListComp, ast.SetComp)) or (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) in ("dict", "list", "set"))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and mutable:
+                shared.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{fname}:{node.lineno}: {a.name}" for a in node.names
+                          if a.name in caches]
+            if (isinstance(node, ast.Attribute) and node.attr in caches
+                    and getattr(node.value, "id", None) == "functools"):
+                found.append(f"{fname}:{node.lineno}: functools.{node.attr}")
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    found.append(f"{fname}:{node.lineno}: global {node.names}")
+                elif (isinstance(node, ast.Subscript)
+                      and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and getattr(node.value, "id", None) in shared):
+                    found.append(f"{fname}:{node.lineno}: {node.value.id}[...]")
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in mutators
+                      and getattr(node.func.value, "id", None) in shared):
+                    found.append(f"{fname}:{node.lineno}: {node.func.value.id}"
+                                 f".{node.func.attr}")
+    assert found == []
+
+
 def test_grammar_doc_lists_the_rule_table():
     """The rule table of ``docs/grammar.md`` is ``logic.RULES``: each row
     gives the bound variables per premise and the rules that share them."""
