@@ -270,10 +270,10 @@ def test_hoare_max_iter_must_be_non_negative(capsys):
         (("hypercube", "--n", "0"), "argument --n"),
         (("td", "--n", "-1"), "argument --n"),
         (("prp", "--l", "-1"), "argument --l"),
-        (("prp", "--l", "0"), "argument --l"),
         (("td", "--alpha", "abc"), "argument --alpha"),
         (("td", "--gamma", "1/0"), "argument --gamma"),
         (("coin", "--c", "abc"), "argument --c"),
+        (("prp", "--l", "0"), "argument --l"),
     ],
 )
 def test_casestudy_parameters_rejected_by_parser(flags, where, capsys):
