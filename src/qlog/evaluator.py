@@ -742,16 +742,20 @@ class Evaluator:
             raise EvalError(f"fixed point grade {p} is not below 1")
         if isinstance(ty, T.TDist):
             return self._fix_subdist(env, t)
-        if self._needs_lazy(ty):
+        if self._contains(ty, (T.TLolli, T.TProc)):
             return self._fix_lazy(env, t)
         return self._fix_banach(env, t)
 
     @staticmethod
-    def _needs_lazy(ty: T.Type) -> bool:
-        if isinstance(ty, (T.TLolli, T.TProc)):
+    def _contains(ty: T.Type, leaves) -> bool:
+        """Whether ``ty`` or a Prod, Tensor or Sum part of it is one of
+        the types ``leaves``."""
+        if isinstance(ty, leaves):
             return True
         if isinstance(ty, (T.TProd, T.TTensor, T.TSum)):
-            return Evaluator._needs_lazy(ty.left) or Evaluator._needs_lazy(ty.right)
+            return Evaluator._contains(ty.left, leaves) or Evaluator._contains(
+                ty.right, leaves
+            )
         return False
 
     def _fix_subdist(self, env: Env, t: T.Fix) -> Approx:
@@ -812,7 +816,7 @@ class Evaluator:
         radius = pf ** self.config.fuel if pf > 0 else 0.0
         if isinstance(t.fix_type, T.TProc) or (
             isinstance(t.fix_type, (T.TProd, T.TTensor))
-            and not self._contains_lolli(t.fix_type)
+            and not self._contains(t.fix_type, T.TLolli)
         ):
             # productive process definitions unfold exactly on demand
             radius = 0.0
@@ -831,13 +835,3 @@ class Evaluator:
                 self.checker.synthesize(qfile.ctx.types(), d.term)
             values[nm] = self.eval(env, d.term)
         return values
-
-    @staticmethod
-    def _contains_lolli(ty: T.Type) -> bool:
-        if isinstance(ty, T.TLolli):
-            return True
-        if isinstance(ty, (T.TProd, T.TTensor, T.TSum)):
-            return Evaluator._contains_lolli(ty.left) or Evaluator._contains_lolli(
-                ty.right
-            )
-        return False

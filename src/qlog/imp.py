@@ -47,9 +47,10 @@ from .measures import Dist, _sort_token
 
 
 class ImpError(ValueError):
-    """A malformed, ill-typed or failing program.  A parse error or an
-    undeclared name is given the source and its token's offset, and sets
-    1-based ``line``/``col``."""
+    """A malformed, ill-typed or failing program.  Every static error in
+    a source (a parse error, an undeclared name, an expression of the
+    wrong kind) is given the source and its token's offset, and sets
+    1-based ``line``/``col``; run-time errors carry no position."""
 
     line: Optional[int] = None
 
@@ -255,79 +256,6 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Typing (nat / bool / dist)
-# ---------------------------------------------------------------------------
-
-
-def expr_type(prog: Program, e: Expr) -> str:
-    if isinstance(e, ENum):
-        return "nat"
-    if isinstance(e, ERead):
-        if e.loc not in prog.locs:
-            raise ImpError(f"undeclared location {e.loc}")
-        return "nat"
-    if isinstance(e, EIndex):
-        if e.array not in prog.arrays:
-            raise ImpError(f"undeclared array {e.array}")
-        if expr_type(prog, e.index) != "nat":
-            raise ImpError("array index must be a natural")
-        return "nat"
-    if isinstance(e, EBin):
-        if expr_type(prog, e.left) != "nat" or expr_type(prog, e.right) != "nat":
-            raise ImpError(f"operator {e.op} needs natural operands")
-        return "bool" if e.op in ("<=", "==") else "nat"
-    if isinstance(e, EUnif):
-        if expr_type(prog, e.bound) != "nat":
-            raise ImpError("unif needs a natural bound")
-        return "dist"
-    raise ImpError(f"unknown expression {e!r}")
-
-
-def check_cmd(prog: Program, c: Cmd) -> None:
-    if isinstance(c, CSkip):
-        return
-    if isinstance(c, CAssign):
-        if isinstance(c.target, tuple):
-            name, idx = c.target
-            if name not in prog.arrays:
-                raise ImpError(f"undeclared array {name}")
-            if expr_type(prog, idx) != "nat":
-                raise ImpError("array index must be a natural")
-        elif c.target not in prog.locs:
-            raise ImpError(f"undeclared location {c.target}")
-        if expr_type(prog, c.expr) != "nat":
-            raise ImpError("assignment needs a natural-valued expression")
-        return
-    if isinstance(c, CSample):
-        if c.loc not in prog.locs:
-            raise ImpError(f"undeclared location {c.loc}")
-        if expr_type(prog, c.dist) != "dist":
-            raise ImpError("sampling needs a distribution expression")
-        return
-    if isinstance(c, CSeq):
-        check_cmd(prog, c.first)
-        check_cmd(prog, c.second)
-        return
-    if isinstance(c, (CIf, CWhile)):
-        if expr_type(prog, c.guard) != "bool":
-            raise ImpError("guard must be boolean")
-        if isinstance(c, CIf):
-            check_cmd(prog, c.then)
-            check_cmd(prog, c.other)
-        else:
-            check_cmd(prog, c.body)
-        return
-    if isinstance(c, CNthUnused):
-        for loc in (c.i_loc, c.tmp_loc, c.val_loc):
-            if loc not in prog.locs:
-                raise ImpError(f"undeclared location {loc}")
-        if c.array not in prog.arrays:
-            raise ImpError(f"undeclared array {c.array}")
-        return
-    raise ImpError(f"unknown command {c!r}")
-
-
-# ---------------------------------------------------------------------------
 # Semantics
 # ---------------------------------------------------------------------------
 
@@ -506,7 +434,18 @@ def _tokenize_imp(src: str) -> List[Tuple[str, str, int]]:
     return toks + [(None, None, len(src.rstrip()))]
 
 
+def _kind(e: Expr) -> str:
+    """nat, bool or dist, for an expression the parser has built (and so
+    checked part by part)."""
+    if isinstance(e, EUnif):
+        return "dist"
+    return "bool" if isinstance(e, EBin) and e.op in ("<=", "==") else "nat"
+
+
 class ImpParser:
+    """The one static pass over a source: it checks each name against the
+    declarations and each expression's kind as it builds them."""
+
     END = "unexpected end of program"
 
     def __init__(self, src: str):
@@ -516,9 +455,10 @@ class ImpParser:
         self.locs: List[str] = []  # the declarations, read before the body
         self.arrays: Dict[str, int] = {}
 
-    def error(self, message: str, back: int = 1) -> ImpError:
-        """At the token just read (back 1) or the next one (back 0)."""
-        return ImpError(message, self.src, self.toks[self.pos - back][2])
+    def error(self, message: str, tok: Optional[int] = None) -> ImpError:
+        """At token ``tok``, by default the one just read."""
+        tok = self.pos - 1 if tok is None else tok
+        return ImpError(message, self.src, self.toks[tok][2])
 
     def peek(self):
         return self.toks[self.pos][:2]
@@ -526,7 +466,7 @@ class ImpParser:
     def next(self):
         t = self.peek()
         if t[0] is None:
-            raise self.error(self.END, 0)
+            raise self.error(self.END, self.pos)
         self.pos += 1
         return t
 
@@ -548,7 +488,7 @@ class ImpParser:
 
     def end(self):
         if self.peek()[0] is not None:
-            raise self.error(f"trailing input {self.peek()[1]!r}", 0)
+            raise self.error(f"trailing input {self.peek()[1]!r}", self.pos)
 
     def declared(self, name: str, table, what: str) -> str:
         """``name``, the token just read, if the declarations name it."""
@@ -594,9 +534,7 @@ class ImpParser:
                 arrays[name] = size
         body = self.command()
         self.end()
-        prog = Program(locs, arrays, body)
-        check_cmd(prog, body)
-        return prog
+        return Program(locs, arrays, body)
 
     def command(self) -> Cmd:
         cmd = self.simple()
@@ -618,21 +556,19 @@ class ImpParser:
         if val == "skip":
             self.next()
             return CSkip()
-        if val == "if":
+        if val in ("if", "while"):
             self.next()
-            g = self.expr()
+            g = self.expr_of("bool", "guard must be boolean")
+            if val == "while":
+                return CWhile(g, self.block())
             then = self.block()
             self.expect("else")
-            other = self.block()
-            return CIf(g, then, other)
-        if val == "while":
-            self.next()
-            g = self.expr()
-            return CWhile(g, self.block())
+            return CIf(g, then, self.block())
         if val == "sample":
             self.next()
             loc = self.declared(self.next()[1], self.locs, "location")
-            return CSample(loc, self.expr())
+            dist = self.expr_of("dist", "sampling needs a distribution expression")
+            return CSample(loc, dist)
         if val == "nth_unused":
             self.next()
             self.expect("(")
@@ -643,38 +579,47 @@ class ImpParser:
             self.expect(")")
             return CNthUnused(*names)
         if kind == "id":
-            name = self.next()[1]
+            target = name = self.next()[1]
             if self.at("["):
-                self.declared(name, self.arrays, "array")
-                self.next()
-                idx = self.expr()
-                self.expect("]")
-                self.expect(":=")
-                return CAssign((name, idx), self.expr())
-            self.declared(name, self.locs, "location")
+                target = (self.declared(name, self.arrays, "array"), self.index())
+            else:
+                self.declared(name, self.locs, "location")
             self.expect(":=")
-            return CAssign(name, self.expr())
-        raise self.error(f"expected a command, got {val!r}", 0)
+            e = self.expr_of("nat", "assignment needs a natural-valued expression")
+            return CAssign(target, e)
+        raise self.error(f"expected a command, got {val!r}", self.pos)
 
-    def expr(self) -> Expr:
-        left = self.arith()
-        if self.peek()[1] in ("<=", "=="):
+    def expr_of(self, kind: str, message: str) -> Expr:
+        """An expression of ``kind``, else ``message`` at its first token."""
+        start = self.pos
+        e = self.expr()
+        if _kind(e) != kind:
+            raise self.error(message, start)
+        return e
+
+    def index(self) -> Expr:
+        """``[e]`` after an array name, ``e`` a natural."""
+        self.expect("[")
+        e = self.expr_of("nat", "array index must be a natural")
+        self.expect("]")
+        return e
+
+    # binary operators, loosest first; a comparison does not chain
+    LEVELS = (("<=", "=="), ("+", "-"), ("*",))
+
+    def expr(self, level: int = 0) -> Expr:
+        if level == len(self.LEVELS):
+            return self.atom()
+        left = self.expr(level + 1)
+        while self.peek()[1] in self.LEVELS[level]:
             op = self.next()[1]
-            return EBin(op, left, self.arith())
-        return left
-
-    def arith(self) -> Expr:
-        left = self.mul()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            left = EBin(op, left, self.mul())
-        return left
-
-    def mul(self) -> Expr:
-        left = self.atom()
-        while self.peek()[1] == "*":
-            self.next()
-            left = EBin("*", left, self.atom())
+            at = self.pos - 1
+            # a left operand of the wrong kind is reported before the right is read
+            if _kind(left) != "nat" or _kind(right := self.expr(level + 1)) != "nat":
+                raise self.error(f"operator {op} needs natural operands", at)
+            left = EBin(op, left, right)
+            if level == 0:
+                break
         return left
 
     def atom(self) -> Expr:
@@ -687,16 +632,12 @@ class ImpParser:
             return e
         if val == "unif":
             self.expect("(")
-            e = self.expr()
+            e = self.expr_of("nat", "unif needs a natural bound")
             self.expect(")")
             return EUnif(e)
         if kind == "id":
             if self.at("["):
-                self.declared(val, self.arrays, "array")
-                self.next()
-                idx = self.expr()
-                self.expect("]")
-                return EIndex(val, idx)
+                return EIndex(self.declared(val, self.arrays, "array"), self.index())
             return ERead(self.declared(val, self.locs, "location"))
         raise self.error(f"expected an expression, got {val!r}")
 
@@ -714,7 +655,8 @@ class _PredParser(ImpParser):
 
     def fail(self, what: str) -> ImpError:
         got = self.peek()[1]
-        return self.error(f"{self.END}: {what}" if got is None else f"{what}, got {got!r}", 0)
+        message = f"{self.END}: {what}" if got is None else f"{what}, got {got!r}"
+        return self.error(message, self.pos)
 
     def disj(self) -> Expr:
         e = self.conj()

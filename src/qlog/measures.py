@@ -31,7 +31,9 @@ as every :func:`dirac` and every deterministic ``imp`` step builds,
 returns before the merge.  :meth:`Dist.mix` is the one weighted
 mixture; :func:`convex` and :func:`bind` go through it.  The sort is
 the one helper ``_sort_support``.  A merged support of fewer than 2
-points has one order and builds no token.  The token spells the key
+points has one order and builds no token.  ``_order_token`` builds a
+value's token from the value in one plain recursion, without building
+its key and without a memo.  The token spells the key
 structurally: a tuple is ``"("`` + its components' tokens joined by
 ``","`` + ``")"``, a non-bool int is zero-padded to 24 places,
 anything else is its ``repr``.  A value with a ``sort_token()``
@@ -125,36 +127,13 @@ def _sort_token(key: Any) -> str:
     return repr(key)
 
 
-def _order_token(v: Any, floats: Dict[float, str]) -> str:
-    """``_sort_token(key_of(v))``, built from ``v`` in one recursion.
-
-    ``floats`` memoises float tokens for one canonicalisation.  Zeros
-    and NaNs stay out of it: ``0.0 == -0.0`` although their tokens
-    differ, and a NaN equals nothing.
-    """
+def _order_token(v: Any) -> str:
+    """``_sort_token(key_of(v))``, built from ``v`` in one recursion."""
     t = type(v)
     if t is float:
-        s = floats.get(v)
-        if s is None:
-            s = "('float'," + repr(v) + ")"
-            if v and v == v:
-                floats[v] = s
-        return s
+        return "('float'," + repr(v) + ")"
     if t is tuple:
-        if not v:
-            return "('tuple')"
-        parts = []
-        for x in v:
-            if type(x) is float:  # the branch above, inlined
-                s = floats.get(x)
-                if s is None:
-                    s = "('float'," + repr(x) + ")"
-                    if x and x == x:
-                        floats[x] = s
-            else:
-                s = _order_token(x, floats)
-            parts.append(s)
-        return "('tuple'," + ",".join(parts) + ")"
+        return "(" + ",".join(["'tuple'", *[_order_token(x) for x in v]]) + ")"
     if t is int:
         return f"('int',{v:024d})"
     if t is str or t is bool:
@@ -169,8 +148,7 @@ def _sort_support(points: List[Any]) -> None:
     """Sort merged ``(value, weight)`` points into support order, in
     place: by the token of each value, ties in their given order."""
     if len(points) > 1:
-        floats: Dict[float, str] = {}
-        points.sort(key=lambda p: _order_token(p[0], floats))
+        points.sort(key=lambda p: _order_token(p[0]))
 
 
 def _int_sum(weights: Iterable[Fraction]) -> Tuple[int, int]:

@@ -3,7 +3,9 @@
 import functools
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -284,6 +286,17 @@ def test_casestudy_parameters_rejected_by_parser(flags, where, capsys):
     assert where in err and "Traceback" not in err
 
 
+def test_python_m_qlog_runs_from_a_checkout():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlog", "casestudy", "prp", "--l", "0"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --l" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -416,6 +429,15 @@ def test_imp_undeclared_name_reads_file_line_col(tmp_path, capsys, body, message
                         "--pre", "tt", "--post", "tt")
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"{left}:{message}\n"
+
+
+def test_imp_type_error_reads_file_line_col(tmp_path, capsys):
+    left = tmp_path / "bad.imp"
+    left.write_text("locs i\nwhile i + 1 { i := 0 }\n")
+    code, out = run_cli("hoare", "--left", str(left), "--right", SKIP_IMP,
+                        "--pre", "tt", "--post", "tt")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"{left}:2:7: guard must be boolean\n"
 
 
 @pytest.mark.parametrize(

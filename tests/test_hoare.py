@@ -486,7 +486,7 @@ def _assert_store_order(stores, rng):
     for s in stores:
         want = _sort_token(key_of(s))
         assert s.sort_token() == want
-        assert _order_token(s, {}) == want
+        assert _order_token(s) == want
         for name in ("a", "arr", "b", "i", "zz"):
             assert s.array(name) == _ref_array(s, name)
     pairs = [(s, F(1, len(stores))) for s in stores]
@@ -594,10 +594,24 @@ def test_undeclared_names_carry_a_position(src, line, col, message):
     assert str(e.value) == f"{line}:{col}: {message}"
 
 
-def test_other_type_errors_carry_no_position():
+@pytest.mark.parametrize(
+    "src, line, col, message",
+    [
+        ("locs l\nif 3 { skip } else { skip }", 2, 4, "guard must be boolean"),
+        ("locs i\nwhile i + 1 { i := 0 }", 2, 7, "guard must be boolean"),
+        ("locs l\nl := unif(3)", 2, 6, "assignment needs a natural-valued expression"),
+        ("locs l\narray a[2]\na[l <= 1] := 0", 3, 3, "array index must be a natural"),
+        ("locs l\narray a[2]\nl := a[(l == 0)]", 3, 8, "array index must be a natural"),
+        ("locs l\nsample l 1 + l", 2, 10, "sampling needs a distribution expression"),
+        ("locs l\nsample l unif(l == 1)", 2, 15, "unif needs a natural bound"),
+        ("locs l\nl := (l <= 1) * 2", 2, 15, "operator * needs natural operands"),
+        ("locs l\nl := 1 + unif(2)", 2, 8, "operator + needs natural operands"),
+    ],
+)
+def test_type_errors_carry_a_position(src, line, col, message):
     with pytest.raises(ImpError) as e:
-        parse_imp("locs l\nif 3 { skip } else { skip }")
-    assert e.value.line is None and str(e.value) == "guard must be boolean"
+        parse_imp(src)
+    assert str(e.value) == f"{line}:{col}: {message}"
 
 
 _OLD_PRED_TOKEN = re.compile(

@@ -26,7 +26,7 @@ from qlog.measures import (
     total_variation,
     transport,
 )
-from qlog.measures import _as_weight, _order_token, _sort_support
+from qlog.measures import _as_weight, _order_token
 from qlog.transport import TransportError, brute_force_transport, solve_transport
 
 DISC = lambda a, b: 0.0 if a == b else 1.0
@@ -281,13 +281,10 @@ def test_float_tuple_keys_and_tokens_match_reference():
     atoms = [0.0, -0.0, nan, -nan, inf, -inf, 5e-324, -5e-324, 2.5e-310, 1.0, 0.5]
     values = [(x, y) for x in atoms for y in atoms]
     values += [(x, (y, (x,)), ()) for x, y in zip(atoms, reversed(atoms))]
-    memo = {}  # shared, as within one canonicalisation
     for v in values:
         # repr tells 0.0 from -0.0, which == does not
         assert repr(key_of(v)) == repr(_ref_key(v))
-        want = _ref_token(_ref_key(v))
-        assert _order_token(v, memo) == want
-        assert _order_token(v, {}) == want
+        assert _order_token(v) == _ref_token(_ref_key(v))
 
 
 def test_store_support_order_matches_reference():
@@ -428,28 +425,24 @@ def test_convex_barycentric_laws_property():
 
 
 def _from_pairs_reference(pairs, residual_div=0, residual_approx=0):
-    """``Dist.from_pairs`` with its total-mass check as first written: a
-    Dist first, then mass + residual_div + residual_approx in Fractions."""
+    """``Dist.from_pairs`` as first written, on the test's own key and
+    token: merge, sort stably by token, then check the total mass in
+    Fractions.  It shares no code with ``from_pairs``."""
     merged = {}
     for v, w in pairs:
-        w = _as_weight(w)
+        w = F(w)
         if w.numerator <= 0:
             if w.numerator < 0:
                 raise ValueError(f"negative weight {w}")
             continue
-        k = key_of(v)
+        k = _ref_key(v)
         if k in merged:
             merged[k][1] += w
         else:
             merged[k] = [v, w]
-    entries = list(merged.values())
-    _sort_support(entries)
-    d = Dist(
-        tuple((v, w) for v, w in entries),
-        _as_weight(residual_div),
-        _as_weight(residual_approx),
-    )
-    total = d.mass + d.residual_div + d.residual_approx
+    entries = sorted(merged.values(), key=lambda e: _ref_token(_ref_key(e[0])))
+    d = Dist(tuple((v, w) for v, w in entries), F(residual_div), F(residual_approx))
+    total = sum((w for _, w in entries), F(0)) + d.residual_div + d.residual_approx
     if total != 1:
         raise ValueError(f"total mass {total} != 1")
     return d
