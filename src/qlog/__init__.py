@@ -9,11 +9,10 @@ contraction bound, a coupling argument for the hypercube walk, and
 error-credit accounting for relational Hoare triples.
 """
 
-from .grades import Grade, INF, ONE, TOL, ZERO, oplus, scale_prop, wand
+from .grades import Grade, INF, ONE, ZERO, oplus, scale_prop, wand
 from .measures import (
     Coupling,
     Dist,
-    bind,
     convex,
     dirac,
     kantorovich,
@@ -59,13 +58,11 @@ __all__ = [
     "ONE",
     "Program",
     "Store",
-    "TOL",
     "TypeCheckError",
     "TypeCtx",
     "ZERO",
     "alpha_eq",
     "behavioral_distance",
-    "bind",
     "bisimilarity_distance",
     "check_derivation",
     "check_semantic",

@@ -38,12 +38,16 @@ def corpus_path(*parts: str) -> str:
     return os.path.join(CORPUS, *parts)
 
 
+def _default_enums() -> EnumSpec:
+    with open(corpus_path("enums", "default.json")) as fh:
+        return EnumSpec(json.load(fh))
+
+
 def load_corpus_evaluator(name: str, fuel=60, tol=1e-4):
     with open(corpus_path(name), "r", encoding="utf-8") as fh:
         qfile = parse_file(fh.read())
     ck = Checker(qfile.alphabets)
-    enums = EnumSpec(json.load(open(corpus_path("enums", "default.json"))))
-    ev = Evaluator(ck, EvalConfig(fuel=fuel, tol=tol, enums=enums))
+    ev = Evaluator(ck, EvalConfig(fuel=fuel, tol=tol, enums=_default_enums()))
     return qfile, ck, ev, ev.eval_defs(qfile)
 
 
@@ -299,7 +303,7 @@ def check_prp_prf():
 
 def check_logic_suite(env_count: int = 20, seed: int = 0):
     deriv_dir = corpus_path("derivs")
-    enums = EnumSpec(json.load(open(corpus_path("enums", "default.json"))))
+    enums = _default_enums()
     files = sorted(f for f in os.listdir(deriv_dir) if f.endswith(".json"))
     covered = set()
     failures = []

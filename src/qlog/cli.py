@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import acceptance
-from .evaluator import EnumSpec, EvalConfig, Evaluator
+from .evaluator import EnumSpec, EvalConfig, EvalError, Evaluator
 from .grades import Grade
 from .hoare import prp_prf_check, triple_value
 from .hypercube import hypercube_contraction_check
@@ -369,48 +369,52 @@ def _non_negative_float(text: str, finite: bool = False) -> float:
     raise argparse.ArgumentTypeError(f"expected {what} >= 0, got {text!r}")
 
 
-def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--fuel", type=_non_negative_int, default=60)
-    common.add_argument("--tol", type=_non_negative_float, default=1e-6)
-    common.add_argument(
-        "--max-iter", dest="max_iter", type=_non_negative_int, default=64
-    )
-    common.add_argument("--enums", type=str, default=None)
-    common.add_argument("--seed", type=int, default=0)
+# each subcommand takes only the shared options that it reads
+_OPTIONS = {
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--fuel": dict(type=_non_negative_int, default=60),
+    "--tol": dict(type=_non_negative_float, default=1e-6),
+    "--max-iter": dict(type=_non_negative_int, default=64),
+    "--enums": dict(type=str, default=None),
+    "--seed": dict(type=int, default=0),
+}
+_EVALUATING = ("--format", "--fuel", "--tol", "--enums")
 
+
+def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="qlog", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("check", parents=[common])
-    sp.add_argument("files", nargs="+")
-    sp.set_defaults(fn=cmd_check)
+    def command(name, fn, *options):
+        sp = sub.add_parser(name)
+        for flag in options:
+            sp.add_argument(flag, **_OPTIONS[flag])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("eval", parents=[common])
+    sp = command("check", cmd_check, "--format")
+    sp.add_argument("files", nargs="+")
+
+    sp = command("eval", cmd_eval, *_EVALUATING)
     sp.add_argument("file")
     sp.add_argument("--def", dest="def_name", required=True)
-    sp.set_defaults(fn=cmd_eval)
 
-    sp = sub.add_parser("distance", parents=[common])
+    sp = command("distance", cmd_distance, *_EVALUATING)
     sp.add_argument("file")
     sp.add_argument("--left", required=True)
     sp.add_argument("--right", required=True)
     sp.add_argument("--proc", action="store_true")
     sp.add_argument("--bisim", action="store_true")
-    sp.set_defaults(fn=cmd_distance)
 
-    sp = sub.add_parser("prove", parents=[common])
+    sp = command("prove", cmd_prove, "--format")
     sp.add_argument("file")
-    sp.set_defaults(fn=cmd_prove)
 
-    sp = sub.add_parser("judge", parents=[common])
+    sp = command("judge", cmd_judge, *_EVALUATING, "--seed")
     sp.add_argument("file")
     sp.add_argument("--envs", type=_positive_int, default=20)
-    sp.set_defaults(fn=cmd_judge)
 
-    sp = sub.add_parser("casestudy", parents=[common])
+    sp = command("casestudy", cmd_casestudy, *_EVALUATING, "--seed")
     sp.add_argument("name", choices=(
         "markov", "coin", "td", "hypercube", "hoare-ast", "prp"))
     sp.add_argument("--c", type=_fraction, default="1/2")
@@ -419,9 +423,8 @@ def main(argv=None) -> int:
     sp.add_argument("--gamma", type=_fraction, default="1/2")
     sp.add_argument("--n", type=_positive_int, default=3)
     sp.add_argument("--l", type=_positive_int, default=3)
-    sp.set_defaults(fn=cmd_casestudy)
 
-    sp = sub.add_parser("hoare", parents=[common])
+    sp = command("hoare", cmd_hoare, "--format", "--tol", "--max-iter")
     sp.add_argument("--left", required=True)
     sp.add_argument("--right", required=True)
     sp.add_argument("--pre", required=True)
@@ -432,17 +435,15 @@ def main(argv=None) -> int:
     sp.add_argument(
         "--credit", type=lambda t: _non_negative_float(t, finite=True), default=0.0
     )
-    sp.set_defaults(fn=cmd_hoare)
 
-    sp = sub.add_parser("suite", parents=[common])
-    sp.set_defaults(fn=cmd_suite)
+    command("suite", cmd_suite, "--format")
 
     args = p.parse_args(argv)
     try:
         return args.fn(args)
     # OSError: a missing or unreadable file, or a directory given as one
-    except (InputError, QlogSyntaxError, TypeCheckError, ProcessError, ImpError,
-            OSError) as e:
+    except (InputError, QlogSyntaxError, TypeCheckError, EvalError, ProcessError,
+            ImpError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .grades import Grade, ONE, ZERO, oplus, scale_prop, wand
 from .measures import (
-    Dist, convex, dirac, empty_subdist, expectation, key_of, lift_relation, transport
+    Dist, dirac, empty_subdist, expectation, key_of, lift_relation, transport
 )
 from . import terms as T
 from .normalize import normal_form
@@ -390,7 +390,12 @@ class Evaluator:
         if isinstance(t, T.Mix):
             a = self.eval(env, t.left)
             b = self.eval(env, t.right)
-            return self._mix_values(t.p, a, b)
+            pf = float(t.p)
+            return self._combine_branches(
+                [(a.value, t.p), (b.value, 1 - t.p)],
+                _cap(pf * a.radius + (1 - pf) * b.radius),
+                a.sided or b.sided,
+            )
 
         if isinstance(t, T.LetSample):
             return self._eval_let_sample(env, t)
@@ -517,22 +522,6 @@ class Evaluator:
 
     # -- helpers ---------------------------------------------------------
 
-    def _mix_values(self, p: Fraction, a: Approx, b: Approx) -> Approx:
-        pf = float(p)
-        radius = _cap(pf * a.radius + (1 - pf) * b.radius)
-        sided = a.sided or b.sided
-        va, vb = a.value, b.value
-        if isinstance(va, Dist) and isinstance(vb, Dist):
-            return Approx(convex(p, va, vb), radius, sided)
-        if isinstance(va, float) and isinstance(vb, float):
-            # p*phi (+) (1-p)*psi; never truncates on [0,1] inputs
-            return Approx(pf * va + (1 - pf) * vb, radius, sided)
-        if isinstance(va, tuple) and isinstance(vb, tuple):
-            l = self._mix_values(p, Approx(va[0]), Approx(vb[0]))
-            r = self._mix_values(p, Approx(va[1]), Approx(vb[1]))
-            return Approx((l.value, r.value), radius, sided)
-        raise EvalError(f"cannot mix values {va!r} and {vb!r}")
-
     def _eval_let_sample(self, env: Env, t: T.LetSample) -> Approx:
         bound = self.eval(env, t.bound)
         mu = deref(bound.value)
@@ -556,47 +545,45 @@ class Evaluator:
             # a point-free mu (residual 1) pins no value of the body's
             # type: any inhabitant is within the 1-bounded metric
             return Approx(self.canonical_seed(t.body_type), 1.0, sided)
-        return self._combine_branches(mu, branch, radius, sided)
+        return self._combine_branches(
+            branch, radius, sided, mu.residual_div, mu.residual_approx
+        )
 
     def _combine_branches(
-        self, mu: Dist, branch: List[Tuple[Any, Fraction]], radius: float, sided
+        self, branch: List[Tuple[Any, Fraction]], radius: float, sided,
+        rdiv: Fraction = 0, rapp: Fraction = 0,
     ) -> Approx:
+        """The sum of w * v over the ``(v, w)`` branches at a mixture
+        type, with residual mass ``rdiv + rapp`` left over: `a (+ p) b`
+        is the two branches (a, p) and (b, 1 - p), a let-sample one
+        branch per support point of its measure."""
         if not branch or isinstance(branch[0][0], Dist):
             if not all(isinstance(d, Dist) for d, _ in branch):
-                raise EvalError("mixed sampling codomains")
-            return Approx(
-                Dist.mix(branch, mu.residual_div, mu.residual_approx),
-                radius,
-                sided,
-            )
-        first = branch[0][0]
+                raise EvalError("cannot mix distributions with other values")
+            return Approx(Dist.mix(branch, rdiv, rapp), radius, sided)
+        first = deref(branch[0][0])  # a lazy fixed point is a VRef
         if isinstance(first, float):
             # mean: truncated weighted sum (never truncates in [0,1]);
             # unresolved residual mass is pure uncertainty
             val = expectation(branch)
-            return Approx(val, _cap(radius + float(mu.residual)), sided)
+            return Approx(val, _cap(radius + float(rdiv + rapp)), sided)
         if isinstance(first, tuple):
-            lefts = [(x[0], w) for x, w in branch]
-            rights = [(x[1], w) for x, w in branch]
-            l = self._combine_branches(mu, lefts, 0.0, None)
-            r = self._combine_branches(mu, rights, 0.0, None)
+            lefts = [(deref(x)[0], w) for x, w in branch]
+            rights = [(deref(x)[1], w) for x, w in branch]
+            l = self._combine_branches(lefts, 0.0, None, rdiv, rapp)
+            r = self._combine_branches(rights, 0.0, None, rdiv, rapp)
             return Approx((l.value, r.value), radius, sided)
-        if isinstance(first, VClosure) or isinstance(first, VNative):
+        if isinstance(first, (VClosure, VNative)):
             fns = list(branch)
 
             def mixed(arg: Approx) -> Approx:
-                applied = [
-                    (self.apply(Approx(f), arg), w) for f, w in fns
-                ]
+                applied = [(self.apply(Approx(f), arg), w) for f, w in fns]
                 vals = [(a.value, w) for a, w in applied]
                 rad = max(a.radius for a, _ in applied)
-                out = self._combine_branches(mu, vals, rad, None)
-                return out
+                return self._combine_branches(vals, rad, None, rdiv, rapp)
 
             return Approx(VNative(mixed, name="mixture"), radius, sided)
-        raise EvalError(
-            f"sampling into type carrying {type(first).__name__} is unsupported"
-        )
+        raise EvalError(f"cannot mix values of type {type(first).__name__}")
 
     # -- quantifiers -------------------------------------------------------
 

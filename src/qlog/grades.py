@@ -10,16 +10,14 @@ Two numeric domains underpin everything else:
 * truth values -- floats in [0, 1] with 0 meaning true and 1 meaning
   false.  The connectives are truncated sum ``oplus``, its residual
   ``wand`` (truncated reversed subtraction) and bounded scaling
-  ``scale_prop``.  Semantic comparisons use the global tolerance TOL.
+  ``scale_prop``.  No tolerance is built in: a semantic comparison
+  takes its tolerance from the caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Union
-
-# Global tolerance for semantic (float) comparisons.
-TOL = 1e-9
 
 GradeLike = Union["Grade", Fraction, int, str]
 

@@ -496,6 +496,17 @@ class ImpParser:
             raise self.error(f"undeclared {what} {name}")
         return name
 
+    def declare(self) -> str:
+        """The token just read, as a name that no declaration has taken."""
+        kind, name = self.toks[self.pos - 1][:2]
+        if kind != "id":
+            raise self.error(f"expected an array name, got {name!r}")
+        if name in self.RESERVED:
+            raise self.error(f"reserved word {name!r} cannot name an array")
+        if name in self.locs or name in self.arrays:
+            raise self.error(f"{name} is already declared")
+        return name
+
     RESERVED = {
         "skip",
         "if",
@@ -522,9 +533,11 @@ class ImpParser:
                     and self.peek()[1] not in self.RESERVED
                     and self._peek2() not in (":=", "[")
                 ):
-                    locs.append(self.next()[1])
+                    self.next()
+                    locs.append(self.declare())
             else:
-                name = self.next()[1]
+                self.next()
+                name = self.declare()
                 self.expect("[")
                 kind, size = self.next()
                 if kind != "num":

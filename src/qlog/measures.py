@@ -29,7 +29,8 @@ over the running lcm of the denominators, ``_int_sum``, which
 :attr:`Dist.mass` shares.  One point of weight 1 with zero residuals,
 as every :func:`dirac` and every deterministic ``imp`` step builds,
 returns before the merge.  :meth:`Dist.mix` is the one weighted
-mixture; :func:`convex` and :func:`bind` go through it.  The sort is
+mixture of distributions; :func:`convex` goes through it, and so do
+the evaluator's `(+ p)` and let-sample at distribution type.  The sort is
 the one helper ``_sort_support``.  A merged support of fewer than 2
 points has one order and builds no token.  ``_order_token`` builds a
 value's token from the value in one plain recursion, without building
@@ -329,35 +330,6 @@ def pushforward(f: Callable[[Any], Any], mu: Dist) -> Dist:
         residual_div=mu.residual_div,
         residual_approx=mu.residual_approx,
     )
-
-
-def bind(mu: Dist, f: Callable[[Any], Any]) -> Any:
-    """Homomorphic extension of f over the support of mu.
-
-    The codomain must carry convex-mixture structure: distributions
-    (monad bind), truth values in [0,1] (the mean, a truncated weighted
-    sum that never actually truncates since weights sum to <= 1),
-    or tuples of such, combined componentwise.
-    """
-    results = [(f(v), w) for v, w in mu.points]
-    # a point-free mu has residual 1 and binds to its residuals
-    if not results or isinstance(results[0][0], Dist):
-        return Dist.mix(results, mu.residual_div, mu.residual_approx)
-    first = results[0][0]
-    if isinstance(first, (int, float)):
-        if mu.residual != 0:
-            raise ValueError(
-                "mean over a subdistribution needs explicit bottom handling"
-            )
-        return expectation(results)
-    if isinstance(first, tuple):
-        if mu.residual != 0:
-            raise ValueError("componentwise bind requires a full distribution")
-        n = len(first)
-        return tuple(
-            bind(mu, lambda v, i=i: f(v)[i]) for i in range(n)
-        )
-    raise ValueError(f"codomain {type(first).__name__} is not a mixture algebra")
 
 
 # ---------------------------------------------------------------------------

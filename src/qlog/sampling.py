@@ -2,7 +2,7 @@
 
 Function-typed samples are built from a small library of shapes that
 are non-expansive by construction (constants, the identity, distance
-to an anchor point, convex mixtures), since arbitrary random functions
+to an anchor point), since arbitrary random functions
 would not inhabit the types.
 """
 

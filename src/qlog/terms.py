@@ -228,7 +228,7 @@ class DiracTerm(Term):
 
 
 @dataclass(eq=False)
-class Mix(Term):  # probabilistic choice between distributions
+class Mix(Term):  # probabilistic choice at any mixture type
     p: Fraction
     left: Term
     right: Term

@@ -236,4 +236,6 @@ def value_to_json(v: Any) -> Any:
         return {"proc": v.label}
     if isinstance(v, VClosure):
         return {"closure": v.param}
+    if isinstance(v, VNative):
+        return {"native": v.name}
     raise ValueError(f"value {v!r} has no JSON form")

@@ -1,5 +1,6 @@
-"""Shared test helpers: corpus paths and a random well-typed term
-generator used by the substitution/equality property tests."""
+"""Shared test helpers: corpus paths, random distributions, let-sample
+evaluation over bound measures, and a random well-typed term generator
+used by the substitution/equality property tests."""
 
 import os
 import random
@@ -9,7 +10,12 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qlog import terms as T
+from qlog.evaluator import Evaluator
 from qlog.grades import Grade
+from qlog.measures import Dist, dirac
+from qlog.parser import parse_term
+from qlog.typecheck import Checker
+from qlog.values import Approx, deref
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -21,6 +27,28 @@ def corpus(*parts):
 NAT = T.TNat()
 PROP = T.TProp()
 DNAT = T.TDist(NAT)
+
+MU = Dist.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+
+
+def rand_dist(rng, size=3, den=8):
+    cuts = sorted(rng.randrange(0, den + 1) for _ in range(size - 1))
+    ws, prev = [], 0
+    for c in list(cuts) + [den]:
+        ws.append(Fraction(c - prev, den))
+        prev = c
+    pairs = [(rng.randrange(0, 5), w) for w in ws if w > 0]
+    return Dist.from_pairs(pairs) if pairs else dirac(rng.randrange(0, 5))
+
+
+def let_sample(src, **measures):
+    """Evaluate ``src`` with each keyword bound to its ``Dist Nat`` in
+    both the typing context and the environment."""
+    t = parse_term(src)
+    ck = Checker()
+    ck.synthesize({name: DNAT for name in measures}, t)
+    env = {name: Approx(mu) for name, mu in measures.items()}
+    return deref(Evaluator(ck).eval(env, t).value)
 
 
 def gen_term(rng: random.Random, ctx: dict, ty: T.Type, depth: int = 3) -> T.Term:

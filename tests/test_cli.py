@@ -591,3 +591,80 @@ def test_param_that_parses_but_breaks_its_rule_is_a_rejection(tmp_path):
     assert code == 1
     assert json.loads(out)["violations"] == [
         "root [ind-dist]: mixing weight must be in (0,1)"]
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("eval", "def f : Prop = forall x : Nat. tt\n"),
+        ("judge", '{"judgment": {"delta": [], "hyps": [], "goal": "forall n : Nat. tt"}}'),
+    ],
+)
+def test_evaluation_error_is_a_usage_error(tmp_path, capsys, command, source):
+    # no enumeration of Nat is declared, so the quantifier cannot evaluate
+    path = tmp_path / ("f.qlog" if command == "eval" else "j.json")
+    path.write_text(source)
+    extra = ("--def", "f") if command == "eval" else ()
+    code, out = run_cli(command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "cannot quantify over Nat: no enumeration or samples declared\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "source, name, value",
+    [
+        ("ctx f :[1] Nat -o Nat\ndef g : Nat -o Nat = f\n", "g", {"native": "const-seed"}),
+        ("def f : Prop -o Prop = (fn x : Prop. x) (+ 1/3) (fn x : Prop. ~x)\n",
+         "f", {"native": "mixture"}),
+        ("def f : Prop = ((fn x : Prop. x) (+ 1/3) (fn x : Prop. ~x)) tt\n",
+         "f", 0.6666666666666666),
+        ("def p : Prop = tt (+ 1/3) ff\n", "p", 0.6666666666666666),
+    ],
+)
+def test_function_values_and_mixes_have_a_json_form(tmp_path, source, name, value):
+    path = tmp_path / "f.qlog"
+    path.write_text(source)
+    code, out = run_cli("eval", str(path), "--def", name, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == value
+
+
+_MINIMAL_ARGV = {
+    "check": ("check", corpus("geo.qlog")),
+    "eval": ("eval", corpus("geo.qlog"), "--def", "geo"),
+    "distance": ("distance", corpus("geo.qlog"), "--left", "geo", "--right", "geo"),
+    "prove": ("prove", corpus("derivs", "01_true.json")),
+    "judge": ("judge", corpus("derivs", "01_true.json")),
+    "casestudy": ("casestudy", "hypercube"),
+    "hoare": ("hoare", "--left", SKIP_IMP, "--right", SKIP_IMP, "--pre", "tt",
+              "--post", "tt"),
+    "suite": ("suite",),
+}
+_SHARED_OPTIONS = {
+    "--format": "json", "--fuel": "2", "--tol": "0.1", "--max-iter": "3",
+    "--enums": corpus("enums", "default.json"), "--seed": "3",
+}
+_EVALUATING = {"--format", "--fuel", "--tol", "--enums"}
+_READS = {
+    "check": {"--format"},
+    "prove": {"--format"},
+    "suite": {"--format"},
+    "eval": _EVALUATING,
+    "distance": _EVALUATING,
+    "judge": _EVALUATING | {"--seed"},
+    "casestudy": _EVALUATING | {"--seed"},
+    "hoare": {"--format", "--tol", "--max-iter"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in _MINIMAL_ARGV for f in _SHARED_OPTIONS if f not in _READS[c]],
+)
+def test_options_a_subcommand_never_reads_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        run_cli(*_MINIMAL_ARGV[command], flag, _SHARED_OPTIONS[flag])
+    assert e.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err

@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import DNAT, NAT, PROP, corpus, gen_term
+from conftest import DNAT, MU, NAT, PROP, corpus, gen_term, let_sample, rand_dist
 from qlog.evaluator import EnumSpec, EvalConfig, EvalError, Evaluator
 from qlog.grades import Grade, ONE
-from qlog.measures import Dist, dirac
+from qlog.measures import Dist, convex, dirac, empty_subdist, pushforward
 from qlog.parser import parse_file, parse_term, parse_type
 from qlog.typecheck import Checker
 from qlog.values import Approx, VInj, VNative, VProc, deref
@@ -178,6 +178,108 @@ def test_mixture_axioms_on_values():
             "nu": Approx(sample_value(ev, DNAT, rng)),
         }
         assert deref(ev.eval(env, t1).value) == deref(ev.eval(env, t2).value)
+
+
+def _exact(x):
+    return float(F(x))
+
+
+# `(+ 1/3)` at each kind of mixture type, with a lazy fixed point (a VRef)
+# as a first branch, and a let-sample into a function type, against the
+# exact mixture computed in Fraction arithmetic
+@pytest.mark.parametrize(
+    "src, ty, want",
+    [
+        ("[1/4] ff (+ 1/3) tt", "Prop", _exact(F(1, 3) * F(1, 4))),
+        ("tt (+ 1/3) ff", "Prop", _exact(F(2, 3))),
+        (
+            "([1/4] ff, tt) (+ 1/3) (ff, [1/2] ff)",
+            "Prop * Prop",
+            (_exact(F(1, 3) * F(1, 4) + F(2, 3)), _exact(F(2, 3) * F(1, 2))),
+        ),
+        (
+            "delta(0) (+ 1/3) (delta(1) (+ 1/2) delta(2))",
+            "Dist Nat",
+            Dist.from_pairs([(0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3))]),
+        ),
+        (
+            "((fn x : Prop. x) (+ 1/3) (fn x : Prop. ~x)) ([1/4] ff)",
+            "Prop",
+            _exact(F(1, 3) * F(1, 4) + F(2, 3) * F(3, 4)),
+        ),
+        (
+            "((fix g : Prop -o Prop. fn x : Prop. x) (+ 1/3) (fn x : Prop. ~x)) ([1/4] ff)",
+            "Prop",
+            _exact(F(1, 3) * F(1, 4) + F(2, 3) * F(3, 4)),
+        ),
+        (
+            "let (f, q) = (fix p : (Prop -o Prop) * Prop. (fn x : Prop. x, [1/2] ff))"
+            " (+ 1/3) (fn x : Prop. ~x, ff) in f q",
+            "Prop",
+            _exact(F(1, 3) * F(_exact(F(5, 6))) + F(2, 3) * F(1 - _exact(F(5, 6)))),
+        ),
+        (
+            "(let x = delta(tt) (+ 1/3) delta(ff) in fn y : Prop. x * y) ([1/4] ff)",
+            "Prop",
+            _exact(F(1, 3) * F(1, 4) + F(2, 3)),
+        ),
+    ],
+)
+def test_one_mixture_at_every_mixture_type(src, ty, want):
+    out = run(src, expected=ty)
+    assert deref(out.value) == want and out.radius == 0.0
+    if isinstance(want, float):
+        assert out.value.hex() == want.hex()
+
+
+def test_prop_mix_is_the_exact_mean_rounded_once_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ck, ev = make_eval()
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    weights = st.fractions(min_value=0, max_value=1, max_denominator=100)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(weights.filter(lambda p: 0 < p < 1), unit, unit)
+    @hypothesis.example(F(1, 3), 0.0, 1.0)
+    def check(p, x, y):
+        t = parse_term(f"x (+ {p}) y")
+        ck.synthesize({"x": PROP, "y": PROP}, t)
+        got = ev.eval({"x": Approx(x), "y": Approx(y)}, t).value
+        want = float(p * F(x) + (1 - p) * F(y))
+        assert got.hex() == want.hex()
+
+    check()
+
+
+PARITY = "delta(rec(zero; a k. rec(succ zero; b j. zero; a); x))"
+
+
+def test_let_sample_monad_laws():
+    # left unit
+    assert let_sample("let x = mu in delta(succ x)", mu=dirac(4)) == dirac(5)
+    out = let_sample("let x = mu in delta(succ x)", mu=MU)
+    assert out == Dist.from_pairs([(1, F(1, 2)), (2, F(1, 2))])
+    # mean into truth values
+    mean = let_sample("let x = mu in rec([1/5] ff; a k. [2/5] ff; x)", mu=MU)
+    assert mean == float(F(1, 2) * F(0.2) + F(1, 2) * F(0.4))
+    # a point-free measure samples to its residuals, both kept
+    for divergent in (True, False):
+        bottom = empty_subdist(divergent)
+        assert let_sample("let x = mu in delta(succ x)", mu=bottom) == bottom
+    half = Dist.from_pairs([], residual_div=F(1, 4), residual_approx=F(3, 4))
+    assert let_sample("let x = mu in delta(x)", mu=half) == half
+    # homomorphism over (+ p), against pushforward and convex
+    rng = random.Random(8)
+    for _ in range(50):
+        a, b = rand_dist(rng), rand_dist(rng)
+        p = F(rng.randrange(1, 8), 8)
+        lhs = let_sample(f"let x = a (+ {p}) b in {PARITY}", a=a, b=b)
+        rhs = let_sample(
+            f"(let x = a in {PARITY}) (+ {p}) (let x = b in {PARITY})", a=a, b=b
+        )
+        parity = lambda k: k % 2
+        assert lhs == rhs == convex(p, pushforward(parity, a), pushforward(parity, b))
 
 
 EQUALITY_LAWS = [

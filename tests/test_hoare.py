@@ -567,6 +567,13 @@ def test_array_size_must_be_a_number():
         ("locs l\narray a[x]\nskip", 2, 9, "array size must be a number, got 'x'"),
         ("locs l\n-- note\nif l == 0 { skip } ( { skip }", 3, 20, "expected 'else', got '('"),
         ("locs l\n  ; skip", 2, 3, "expected a command, got ';'"),
+        ("array 5[2]\nskip", 1, 7, "expected an array name, got '5'"),
+        ("array if[2]\nskip", 1, 7, "reserved word 'if' cannot name an array"),
+        ("array a[2]\narray a[3]\nskip", 2, 7, "a is already declared"),
+        ("locs l l\nskip", 1, 8, "l is already declared"),
+        ("locs l\nlocs l\nskip", 2, 6, "l is already declared"),
+        ("locs a\narray a[2]\nskip", 2, 7, "a is already declared"),
+        ("array a[2]\nlocs a\nskip", 2, 6, "a is already declared"),
     ],
 )
 def test_parse_errors_carry_a_position(src, line, col, message):

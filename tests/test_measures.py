@@ -5,17 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import MU, let_sample, rand_dist
 from qlog.evaluator import Evaluator
 from qlog.measures import (
     BOTTOM,
     Coupling,
     Dist,
-    bind,
     convex,
     dirac,
     dist_from_json,
     dist_to_json,
-    empty_subdist,
     expectation,
     kantorovich,
     kantorovich_oracle,
@@ -31,18 +30,7 @@ from qlog.transport import TransportError, brute_force_transport, solve_transpor
 
 DISC = lambda a, b: 0.0 if a == b else 1.0
 
-MU = Dist.from_pairs([(0, F(1, 2)), (1, F(1, 2))])
 NU = Dist.from_pairs([(0, F(1, 4)), (1, F(3, 4))])
-
-
-def _rand_dist(rng, size=3, den=8):
-    cuts = sorted(rng.randrange(0, den + 1) for _ in range(size - 1))
-    ws, prev = [], 0
-    for c in list(cuts) + [den]:
-        ws.append(F(c - prev, den))
-        prev = c
-    pairs = [(rng.randrange(0, 5), w) for w in ws if w > 0]
-    return Dist.from_pairs(pairs) if pairs else dirac(rng.randrange(0, 5))
 
 
 def test_dirac():
@@ -53,12 +41,12 @@ def test_dirac():
 
 
 def test_convex_axioms():
-    mu = _rand_dist(random.Random(5))
-    nu = _rand_dist(random.Random(6))
+    mu = rand_dist(random.Random(5))
+    nu = rand_dist(random.Random(6))
     assert convex(F(1, 3), mu, mu) == mu  # idempotence
     assert convex(F(1, 3), mu, nu) == convex(F(2, 3), nu, mu)  # commutativity
     # skewed associativity
-    rho = _rand_dist(random.Random(7))
+    rho = rand_dist(random.Random(7))
     p, q = F(1, 3), F(1, 2)
     lhs = convex(q, convex(p, mu, nu), rho)
     r = (q - p * q) / (1 - p * q)
@@ -69,28 +57,6 @@ def test_convex_axioms():
     )
     with pytest.raises(ValueError):
         convex(F(3, 2), mu, nu)
-
-
-def test_bind():
-    assert bind(dirac(4), lambda k: dirac(k + 1)) == dirac(5)
-    out = bind(MU, lambda k: dirac(k + 1))
-    assert out == Dist.from_pairs([(1, F(1, 2)), (2, F(1, 2))])
-    # mean into truth values: weighted truncated sum
-    mean = bind(MU, lambda k: 0.2 if k == 0 else 0.4)
-    assert mean == pytest.approx(0.3)
-    # a point-free distribution binds to its residuals, both kept
-    for divergent in (True, False):
-        bottom = empty_subdist(divergent)
-        assert bind(bottom, lambda k: dirac(k + 1)) == bottom
-    half = Dist.from_pairs([], residual_div=F(1, 4), residual_approx=F(3, 4))
-    assert bind(half, lambda k: dirac(k)) == half
-    # homomorphism in the measure argument
-    rng = random.Random(8)
-    for _ in range(50):
-        a, b = _rand_dist(rng), _rand_dist(rng)
-        p = F(rng.randrange(1, 8), 8)
-        f = lambda k: dirac(k % 2)
-        assert bind(convex(p, a, b), f) == convex(p, bind(a, f), bind(b, f))
 
 
 def test_pushforward():
@@ -113,7 +79,7 @@ def test_kantorovich_basics():
 
 
 def test_diagonal_coupling_on_equal_inputs():
-    mu = _rand_dist(random.Random(9))
+    mu = rand_dist(random.Random(9))
     c = optimal_coupling(DISC, mu, mu)
     assert all(x == y for (x, y), _ in c.joint.points)
     assert c.cost(DISC) == 0.0
@@ -123,7 +89,7 @@ def test_kantorovich_metric_properties():
     rng = random.Random(10)
     metric = lambda a, b: abs(a - b) / 4.0  # 1-bounded on {0..4}
     for _ in range(60):
-        a, b, c = (_rand_dist(rng) for _ in range(3))
+        a, b, c = (rand_dist(rng) for _ in range(3))
         dab = kantorovich(metric, a, b)
         dba = kantorovich(metric, b, a)
         assert dab == pytest.approx(dba, abs=1e-9)
@@ -135,7 +101,7 @@ def test_kantorovich_metric_properties():
 def test_convex_nonexpansive():
     rng = random.Random(11)
     for _ in range(60):
-        a, b, a2, b2 = (_rand_dist(rng) for _ in range(4))
+        a, b, a2, b2 = (rand_dist(rng) for _ in range(4))
         p = F(rng.randrange(1, 8), 8)
         lhs = kantorovich(DISC, convex(p, a, b), convex(p, a2, b2))
         rhs = float(p) * kantorovich(DISC, a, a2) + float(1 - p) * kantorovich(
@@ -147,7 +113,7 @@ def test_convex_nonexpansive():
 def test_convex_combination_of_couplings_cost():
     rng = random.Random(12)
     for _ in range(30):
-        m1, m2, n1, n2 = (_rand_dist(rng) for _ in range(4))
+        m1, m2, n1, n2 = (rand_dist(rng) for _ in range(4))
         p = F(rng.randrange(1, 8), 8)
         c1 = kantorovich(DISC, m1, n1)
         c2 = kantorovich(DISC, m2, n2)
@@ -158,7 +124,7 @@ def test_convex_combination_of_couplings_cost():
 def test_lp_equals_vertex_enumeration_exactly():
     rng = random.Random(13)
     for _ in range(120):
-        mu, nu = _rand_dist(rng), _rand_dist(rng)
+        mu, nu = rand_dist(rng), rand_dist(rng)
         cost = lambda a, b: F(abs(a - b), 4)
         exact, plan = transport(cost, mu, nu)
         witness = Coupling(Dist.from_pairs(plan))
@@ -170,7 +136,7 @@ def test_lp_equals_vertex_enumeration_exactly():
 def test_total_variation_is_discrete_transport():
     rng = random.Random(14)
     for _ in range(60):
-        mu, nu = _rand_dist(rng), _rand_dist(rng)
+        mu, nu = rand_dist(rng), rand_dist(rng)
         tv = total_variation(mu, nu)
         lp = kantorovich(DISC, mu, nu)
         assert float(tv) == pytest.approx(lp, abs=1e-9)
@@ -184,8 +150,8 @@ def test_unbalanced_rejected():
 def test_residual_bookkeeping():
     sub = Dist.from_pairs([(0, F(1, 2))], residual_approx=F(1, 2))
     assert sub.residual == F(1, 2)
-    out = bind(sub, lambda k: dirac(k + 1))
-    assert out.residual_approx == F(1, 2)
+    out = let_sample("let x = mu in delta(succ x)", mu=sub)
+    assert out == Dist.from_pairs([(1, F(1, 2))], residual_approx=F(1, 2))
     mixed = convex(F(1, 2), sub, dirac(9))
     assert mixed.residual_approx == F(1, 4)
 
@@ -352,7 +318,7 @@ def test_from_pairs_small_supports_keep_point_weight_and_residuals():
 def test_total_variation_linear_pass_is_exact():
     rng = random.Random(15)
     for _ in range(60):
-        mu, nu = _rand_dist(rng, size=5), _rand_dist(rng, size=5)
+        mu, nu = rand_dist(rng, size=5), rand_dist(rng, size=5)
         ref = sum(
             (abs(mu.weight(v) - nu.weight(v)) for v in set(mu.support() + nu.support())),
             F(0),
@@ -536,7 +502,7 @@ def test_expectation_is_the_exact_sum_rounded_once_property():
     )
     def check(pairs, int_pairs, den, rng):
         den += sum(q for _, q in int_pairs)  # masses sum to at most 1
-        # Fraction weights, as in bind, Coupling.cost and the evaluator
+        # Fraction weights, as in Coupling.cost and the evaluator
         want = _exactly_rounded(pairs)
         assert expectation(pairs).hex() == want.hex()
         # int masses over one denominator, as in td
@@ -554,11 +520,10 @@ def test_expectation_is_the_exact_sum_rounded_once_property():
         normal = [(x, w) for (_, x), w in points]
         mu = Dist.from_pairs(points)
         want = _exactly_rounded(normal)
-        assert bind(mu, lambda v: v[1]).hex() == want.hex()
         rho = Coupling(mu)
         assert rho.cost(lambda i, x: x).hex() == want.hex()
         rng.shuffle(normal)
-        got = Evaluator()._combine_branches(mu, normal, 0.0, None)
+        got = Evaluator()._combine_branches(normal, 0.0, None)
         assert got.value.hex() == want.hex()
 
     check()
