@@ -142,6 +142,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.bisim and not args.proc:
+        print("--bisim needs --proc", file=sys.stderr)
+        return 2
     qfile, ev, values = _eval_defs(args)
     for nm in (args.left, args.right):
         if nm not in values:

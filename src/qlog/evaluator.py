@@ -8,6 +8,17 @@ are propagated through every construct with the same grade arithmetic
 the typing rules use, so the usual beta/projection/sampling equations
 hold exactly on radius-zero fragments.
 
+Evaluation is staged: analyse once, run per environment.
+``Evaluator.analyse`` dispatches on a term's class once and returns a
+run ``(evaluator, env) -> Approx`` that holds its children's runs;
+``eval`` runs it on an environment.  Likewise ``Evaluator.metric``
+builds the metric of a type once, over its components' metrics, and
+``distance_at`` runs it.  Both are kept per ``Evaluator``, so a
+judgment checked on 200 sampled environments is analysed once.  At
+``Dist A`` with ``A`` discrete (``Nat``, ``Unit`` or an alphabet) the
+Kantorovich distance is computed as the exact total variation, the
+same rational as the transport LP's optimum, without an LP.
+
 Fixed points are evaluated in one of three modes:
 
 * distribution types iterate on subdistributions starting from the
@@ -25,13 +36,21 @@ coupling goals are special-cased to an exact transport LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .grades import Grade, ONE, ZERO, oplus, scale_prop, wand
 from .measures import (
-    Dist, dirac, empty_subdist, expectation, key_of, lift_relation, transport
+    Dist,
+    dirac,
+    empty_subdist,
+    expectation,
+    key_of,
+    lift_relation,
+    total_variation,
+    transport,
 )
 from . import terms as T
 from .normalize import normal_form
@@ -51,6 +70,10 @@ from .values import (
 )
 
 Env = Dict[str, Approx]
+# an analysed term, run as run(evaluator, env)
+Run = Callable[["Evaluator", Env], Approx]
+# a built metric, run as metric(evaluator, v1, v2, probes)
+Metric = Callable[["Evaluator", Any, Any, Optional[List[Any]]], Approx]
 
 
 class EvalError(Exception):
@@ -61,13 +84,18 @@ def _cap(x: float) -> float:
     return min(x, 1.0)
 
 
-def _scaled(r: Grade, x: float) -> float:
-    """min{r*x, 1} with the conventions for r = 0 and r = inf."""
+def _scaler(r: Grade) -> Callable[[float], float]:
+    """x -> min{r*x, 1}, with the conventions for r = 0 and r = inf."""
     if r == ZERO:
-        return 0.0
+        return lambda x: 0.0
     if r.is_infinite:
-        return 0.0 if x == 0.0 else 1.0
-    return min(float(r.rational) * x, 1.0)
+        return lambda x: 0.0 if x == 0.0 else 1.0
+    rf = float(r.rational)
+    return lambda x: min(rf * x, 1.0)
+
+
+# a side marker under an antitone map
+_FLIPPED = {"upper": "lower", "lower": "upper"}
 
 
 @dataclass
@@ -103,6 +131,8 @@ class Evaluator:
         self.checker = checker or Checker()
         self.config = config or EvalConfig()
         self._sample_cache: Dict[str, List[Any]] = {}
+        self._analysed: Dict[T.Term, Run] = {}
+        self._metrics: Dict[T.Type, Metric] = {}
 
     # ------------------------------------------------------------------
     # seeds and enumeration
@@ -203,55 +233,90 @@ class Evaluator:
         probes: Optional[List[Any]] = None,
     ) -> Approx:
         """The metric of a type, applied to two of its inhabitants."""
-        v1 = deref(v1)
-        v2 = deref(v2)
+        return self.metric(ty)(self, v1, v2, probes)
+
+    def metric(self, ty: T.Type) -> Metric:
+        """The metric of ``ty`` as a closure ``(evaluator, v1, v2, probes)
+        -> Approx``, built on first use and kept for the life of this
+        evaluator."""
+        m = self._metrics.get(ty)
+        if m is None:
+            m = self._metrics[ty] = self._build_metric(ty)
+        return m
+
+    def _build_metric(self, ty: T.Type) -> Metric:
         if isinstance(ty, (T.TNat, T.TAlpha, T.TUnit)):
-            return Approx(0.0 if key_of(v1) == key_of(v2) else 1.0)
+            return lambda ev, v1, v2, probes: Approx(
+                0.0 if _value_key(v1) == _value_key(v2) else 1.0
+            )
         if isinstance(ty, T.TProp):
-            return Approx(abs(float(v1) - float(v2)))
-        if isinstance(ty, T.TProd):
-            a = self.distance_at(ty.left, v1[0], v2[0], probes)
-            b = self.distance_at(ty.right, v1[1], v2[1], probes)
-            return Approx(
-                max(a.value, b.value), max(a.radius, b.radius), a.sided or b.sided
+            return lambda ev, v1, v2, probes: Approx(
+                abs(float(deref(v1)) - float(deref(v2)))
             )
-        if isinstance(ty, T.TSum):
-            if v1.index != v2.index:
-                return Approx(1.0)
-            comp = ty.left if v1.index == 1 else ty.right
-            return self.distance_at(comp, v1.value, v2.value, probes)
-        if isinstance(ty, T.TTensor):
-            a = self.distance_at(ty.left, v1[0], v2[0], probes)
-            b = self.distance_at(ty.right, v1[1], v2[1], probes)
-            return Approx(
-                _cap(_scaled(ty.r, a.value) + _scaled(ty.s, b.value)),
-                _cap(_scaled(ty.r, a.radius) + _scaled(ty.s, b.radius)),
-                a.sided or b.sided,
-            )
-        if isinstance(ty, T.TDist):
-            return self._dist_distance(ty.inner, v1, v2, probes)
-        if isinstance(ty, T.TLolli):
-            if probes is None:
-                dom, exhaustive = self._probes_for(ty.left)
-            else:
-                dom, exhaustive = probes, False
-            if dom is None:
-                raise EvalError(
-                    f"distance at function type {ty} needs a probe set"
+        if isinstance(ty, (T.TProd, T.TTensor)):
+            left, right = self.metric(ty.left), self.metric(ty.right)
+            if isinstance(ty, T.TProd):
+                combine = lambda a, b: Approx(
+                    max(a.value, b.value), max(a.radius, b.radius), a.sided or b.sided
                 )
-            worst = Approx(0.0)
-            for p in dom:
-                ra = self.apply(Approx(v1), Approx(p))
-                rb = self.apply(Approx(v2), Approx(p))
-                d = self.distance_at(ty.right, ra.value, rb.value)
-                d = d.widen(ra.radius + rb.radius)
-                if d.value > worst.value:
-                    worst = d
-            sided = None if exhaustive else "lower"
-            return Approx(worst.value, worst.radius, sided or worst.sided)
+            else:
+                r, s = _scaler(ty.r), _scaler(ty.s)
+                combine = lambda a, b: Approx(
+                    _cap(r(a.value) + s(b.value)),
+                    _cap(r(a.radius) + s(b.radius)),
+                    a.sided or b.sided,
+                )
+
+            def pair(ev, v1, v2, probes):
+                v1, v2 = deref(v1), deref(v2)
+                return combine(
+                    left(ev, v1[0], v2[0], probes), right(ev, v1[1], v2[1], probes)
+                )
+
+            return pair
+        if isinstance(ty, T.TSum):
+            left, right = self.metric(ty.left), self.metric(ty.right)
+
+            def tagged(ev, v1, v2, probes):
+                v1, v2 = deref(v1), deref(v2)
+                if v1.index != v2.index:
+                    return Approx(1.0)
+                comp = left if v1.index == 1 else right
+                return comp(ev, v1.value, v2.value, probes)
+
+            return tagged
+        if isinstance(ty, T.TDist):
+            return self._dist_metric(ty.inner)
+        if isinstance(ty, T.TLolli):
+            codomain = self.metric(ty.right)
+
+            def function(ev, v1, v2, probes):
+                v1, v2 = deref(v1), deref(v2)
+                if probes is None:
+                    dom, exhaustive = ev._probes_for(ty.left)
+                else:
+                    dom, exhaustive = probes, False
+                if dom is None:
+                    raise EvalError(
+                        f"distance at function type {ty} needs a probe set"
+                    )
+                worst = Approx(0.0)
+                for p in dom:
+                    ra = ev.apply(Approx(v1), Approx(p))
+                    rb = ev.apply(Approx(v2), Approx(p))
+                    d = codomain(ev, ra.value, rb.value, None)
+                    d = d.widen(ra.radius + rb.radius)
+                    if d.value > worst.value:
+                        worst = d
+                sided = None if exhaustive else "lower"
+                return Approx(worst.value, worst.radius, sided or worst.sided)
+
+            return function
         if isinstance(ty, T.TProc):
-            return behavioral_distance(self, v1, v2, ty.c, self.config.tol)
-        raise EvalError(f"no metric for type {ty}")
+            return lambda ev, v1, v2, probes: behavioral_distance(
+                ev, deref(v1), deref(v2), ty.c, ev.config.tol
+            )
+        return _raising(f"no metric for type {ty}")
 
     def _probes_for(self, ty: T.Type):
         structural = self.enumerate_type(ty)
@@ -262,24 +327,39 @@ class Evaluator:
             return self.quantifier_domain(ty)
         return None, False
 
-    def _dist_distance(
-        self, inner: T.Type, mu: Dist, nu: Dist, probes=None
-    ) -> Approx:
+    def _dist_metric(self, inner: T.Type) -> Metric:
         """Kantorovich distance, with residual mass at the bottom point
-        of :func:`transport`; approximation residuals widen the radius."""
-        base = float(mu.residual_approx + nu.residual_approx)
-        radius = base
-        sided = None
+        of :func:`transport`; approximation residuals widen the radius.
+        Under a discrete point metric it is the total variation, which
+        is the same rational as the LP optimum."""
+        if isinstance(inner, (T.TNat, T.TAlpha, T.TUnit)):
 
-        def point_distance(x, y) -> float:
-            nonlocal radius, sided
-            d = self.distance_at(inner, x, y, probes)
-            radius = max(radius, base + d.radius)
-            sided = sided or d.sided
-            return d.value
+            def discrete(ev, v1, v2, probes):
+                mu, nu = deref(v1), deref(v2)
+                base = float(mu.residual_approx + nu.residual_approx)
+                tv = total_variation(mu, nu, _value_key)
+                return Approx(float(tv), _cap(base), None)
 
-        cost, _ = transport(lift_relation(point_distance, "eq"), mu, nu)
-        return Approx(float(cost), _cap(radius), sided)
+            return discrete
+        point = self.metric(inner)
+
+        def kantorovich(ev, v1, v2, probes):
+            mu, nu = deref(v1), deref(v2)
+            base = float(mu.residual_approx + nu.residual_approx)
+            radius = base
+            sided = None
+
+            def point_distance(x, y) -> float:
+                nonlocal radius, sided
+                d = point(ev, x, y, probes)
+                radius = max(radius, base + d.radius)
+                sided = sided or d.sided
+                return d.value
+
+            cost, _ = transport(lift_relation(point_distance, "eq"), mu, nu)
+            return Approx(float(cost), _cap(radius), sided)
+
+        return kantorovich
 
     # ------------------------------------------------------------------
     # application
@@ -290,264 +370,328 @@ class Evaluator:
         if isinstance(f, VClosure):
             env = dict(f.env)
             env[f.param] = arg
-            out = self.eval(env, f.body)
+            out = self.analyse(f.body)(self, env)
             return out.widen(fn.radius)
         if isinstance(f, VNative):
             return f.fn(arg).widen(fn.radius)
         raise EvalError(f"cannot apply non-function value {f!r}")
 
     # ------------------------------------------------------------------
-    # evaluation
+    # evaluation: analyse a term once, run it per environment
     # ------------------------------------------------------------------
+    #
+    # A node's run is ``partial(_run_<class>, *fields)``, called as
+    # ``run(evaluator, env)``: the node's dataclass fields in order, each
+    # child term replaced by the child's run, so ``_run_<class>`` takes
+    # parameters named as the fields.  A form whose run needs more than
+    # its fields (a metric, a precomputed scaling, the term itself) has
+    # an ``_analyse_<class>`` instead.  A run holds no evaluator: the
+    # evaluator's dict of runs is no reference cycle, so a dropped
+    # evaluator and its analysis are freed at once.
 
     def eval(self, env: Env, t: T.Term) -> Approx:
-        if isinstance(t, T.Var):
-            if t.name not in env:
-                alph = self.checker._alphabet_of_label(t.name)
-                if alph is not None:
-                    return Approx(t.name)
-                raise EvalError(f"unbound variable {t.name}")
-            return env[t.name]
+        return self.analyse(t)(self, env)
 
-        if isinstance(t, T.Label):
-            return Approx(t.name)
-
-        if isinstance(t, T.Lam):
-            return Approx(VClosure(t.name, t.grade, t.body, dict(env)))
-
-        if isinstance(t, T.App):
-            fn = self.eval(env, t.fn)
-            arg = self.eval(env, t.arg)
-            return self.apply(fn, arg)
-
-        if isinstance(t, T.Unit):
-            return Approx(UNIT)
-
-        if isinstance(t, T.Pair):
-            a = self.eval(env, t.left)
-            b = self.eval(env, t.right)
-            return Approx(
-                (a.value, b.value), max(a.radius, b.radius), a.sided or b.sided
-            )
-
-        if isinstance(t, T.Proj):
-            body = self.eval(env, t.body)
-            v = body.value
-            if isinstance(v, VRef):
-                return Approx(v.project(t.index), body.radius, body.sided)
-            if not isinstance(v, tuple):
-                raise EvalError(f"projection from non-pair {v!r}")
-            return Approx(v[t.index - 1], body.radius, body.sided)
-
-        if isinstance(t, T.Inj):
-            body = self.eval(env, t.body)
-            return Approx(VInj(t.index, body.value), body.radius, body.sided)
-
-        if isinstance(t, T.Case):
-            scrut = self.eval(env, t.scrut)
-            v = deref(scrut.value)
-            if not isinstance(v, VInj):
-                raise EvalError(f"case on non-sum value {v!r}")
-            # a radius below 1 certifies the tag (branches sit at
-            # distance 1); otherwise all information is lost and the
-            # chosen branch's value is returned at the top radius
-            env2 = dict(env)
-            if v.index == 1:
-                env2[t.left_name] = Approx(v.value, scrut.radius)
-                out = self.eval(env2, t.left_body)
+    def analyse(self, t: T.Term) -> Run:
+        """The run ``(evaluator, env) -> Approx`` that evaluates ``t``,
+        built on its first use and kept for the life of this evaluator.
+        Annotations are read here, so ``t`` must be typechecked before
+        its first evaluation."""
+        run = self._analysed.get(t)
+        if run is None:
+            form = type(t).__name__
+            build = getattr(self, "_analyse_" + form, None)
+            if build is not None:
+                run = build(t)
+            elif hasattr(self, "_run_" + form):
+                run = partial(getattr(self, "_run_" + form), *[
+                    self.analyse(v) if isinstance(v, T.Term) else v
+                    for v in (getattr(t, f.name) for f in fields(t))
+                ])
             else:
-                env2[t.right_name] = Approx(v.value, scrut.radius)
-                out = self.eval(env2, t.right_body)
-            if scrut.radius >= 1.0:
-                return Approx(out.value, 1.0, out.sided)
-            return out
+                raise EvalError(f"cannot evaluate {form}")
+            self._analysed[t] = run
+        return run
 
-        if isinstance(t, T.TensorPair):
-            a = self.eval(env, t.left)
-            b = self.eval(env, t.right)
-            r = t.r if t.r is not None else ONE
-            s = t.s if t.s is not None else ONE
-            return Approx(
-                (a.value, b.value),
-                _cap(_scaled(r, a.radius) + _scaled(s, b.radius)),
-                a.sided or b.sided,
-            )
+    @staticmethod
+    def _run_Var(name, ev, env) -> Approx:
+        try:
+            return env[name]
+        except KeyError:
+            if ev.checker._alphabet_of_label(name) is not None:
+                return Approx(name)
+            raise EvalError(f"unbound variable {name}") from None
 
-        if isinstance(t, T.LetTensor):
-            bound = self.eval(env, t.bound)
-            v = deref(bound.value)
-            if not isinstance(v, tuple):
-                raise EvalError(f"tensor let on non-pair {v!r}")
-            env2 = dict(env)
-            env2[t.left_name] = Approx(v[0], bound.radius)
-            env2[t.right_name] = Approx(v[1], bound.radius)
-            return self.eval(env2, t.body)
+    @staticmethod
+    def _run_Label(name, alphabet, ev, env) -> Approx:
+        return Approx(name)
 
-        if isinstance(t, T.DiracTerm):
-            body = self.eval(env, t.body)
-            return Approx(dirac(body.value), body.radius, body.sided)
+    @staticmethod
+    def _run_Unit(ev, env) -> Approx:
+        return Approx(UNIT)
 
-        if isinstance(t, T.Mix):
-            a = self.eval(env, t.left)
-            b = self.eval(env, t.right)
-            pf = float(t.p)
-            return self._combine_branches(
-                [(a.value, t.p), (b.value, 1 - t.p)],
-                _cap(pf * a.radius + (1 - pf) * b.radius),
-                a.sided or b.sided,
-            )
+    @staticmethod
+    def _run_Zero(ev, env) -> Approx:
+        return Approx(0)
 
-        if isinstance(t, T.LetSample):
-            return self._eval_let_sample(env, t)
+    @staticmethod
+    def _run_TT(ev, env) -> Approx:
+        return Approx(0.0)
 
-        if isinstance(t, T.Zero):
-            return Approx(0)
+    @staticmethod
+    def _run_FF(ev, env) -> Approx:
+        return Approx(1.0)
 
-        if isinstance(t, T.Succ):
-            body = self.eval(env, t.body)
-            n = deref(body.value)
-            return Approx(n + 1, body.radius, body.sided)
+    def _analyse_Lam(self, t: T.Lam) -> Run:
+        self.analyse(t.body)  # run by apply
+        return partial(self._run_Lam, t)
 
-        if isinstance(t, T.NatRec):
-            n = deref(self.eval(env, t.scrut).value)
-            acc = self.eval(env, t.zero_case)
-            for k in range(int(n)):
-                env2 = dict(env)
-                env2[t.prev_name] = acc
-                env2[t.index_name] = Approx(k)
-                acc = self.eval(env2, t.succ_case)
-            return acc
+    @staticmethod
+    def _run_Lam(t, ev, env) -> Approx:
+        return Approx(VClosure(t.name, t.grade, t.body, dict(env)))
 
-        if isinstance(t, T.Fix):
-            return self.fix_eval(env, t)
+    @staticmethod
+    def _run_App(fn, arg, ev, env) -> Approx:
+        return ev.apply(fn(ev, env), arg(ev, env))
 
-        if isinstance(t, T.Fld):
-            lab = self.eval(env, t.label)
-            step = self.eval(env, t.step)
-            node = VProc(deref(lab.value), deref(step.value))
-            return Approx(
-                node,
-                _cap(lab.radius + step.radius),
-                lab.sided or step.sided,
-            )
+    @staticmethod
+    def _run_Pair(left, right, ev, env) -> Approx:
+        a = left(ev, env)
+        b = right(ev, env)
+        return Approx((a.value, b.value), max(a.radius, b.radius), a.sided or b.sided)
 
-        if isinstance(t, T.Ufld):
-            body = self.eval(env, t.body)
-            node = deref(body.value)
-            if not isinstance(node, VProc):
-                raise EvalError(f"unfolding non-process {node!r}")
-            return Approx((node.label, node.step), body.radius, body.sided)
+    @staticmethod
+    def _run_Proj(index, body, ev, env) -> Approx:
+        out = body(ev, env)
+        v = out.value
+        if isinstance(v, VRef):
+            return Approx(v.project(index), out.radius, out.sided)
+        if not isinstance(v, tuple):
+            raise EvalError(f"projection from non-pair {v!r}")
+        return Approx(v[index - 1], out.radius, out.sided)
 
-        # -- predicates --------------------------------------------------
+    @staticmethod
+    def _run_Inj(index, body, sum_type, ev, env) -> Approx:
+        out = body(ev, env)
+        return Approx(VInj(index, out.value), out.radius, out.sided)
 
-        if isinstance(t, T.TT):
-            return Approx(0.0)
-        if isinstance(t, T.FF):
-            return Approx(1.0)
+    @staticmethod
+    def _run_Case(scrut, left_name, left_body, right_name, right_body, ev, env):
+        s = scrut(ev, env)
+        v = deref(s.value)
+        if not isinstance(v, VInj):
+            raise EvalError(f"case on non-sum value {v!r}")
+        # a radius below 1 certifies the tag (branches sit at distance
+        # 1); otherwise all information is lost and the chosen branch's
+        # value is returned at the top radius
+        env2 = dict(env)
+        if v.index == 1:
+            env2[left_name] = Approx(v.value, s.radius)
+            out = left_body(ev, env2)
+        else:
+            env2[right_name] = Approx(v.value, s.radius)
+            out = right_body(ev, env2)
+        if s.radius >= 1.0:
+            return Approx(out.value, 1.0, out.sided)
+        return out
 
-        if isinstance(t, T.Eq):
-            a = self.eval(env, t.left)
-            b = self.eval(env, t.right)
-            if t.at_type is None:
-                raise EvalError("equality lacks its type annotation")
-            d = self.distance_at(t.at_type, a.value, b.value)
-            return d.widen(a.radius + b.radius)
+    def _analyse_TensorPair(self, t: T.TensorPair) -> Run:
+        return partial(
+            self._run_TensorPair, self.analyse(t.left), self.analyse(t.right),
+            _scaler(t.r if t.r is not None else ONE),
+            _scaler(t.s if t.s is not None else ONE),
+        )
 
-        if isinstance(t, T.Star):
-            a = self.eval(env, t.left)
-            b = self.eval(env, t.right)
-            return Approx(
-                oplus(float(a.value), float(b.value)),
-                _cap(a.radius + b.radius),
-                a.sided or b.sided,
-            )
+    @staticmethod
+    def _run_TensorPair(left, right, r, s, ev, env) -> Approx:
+        a = left(ev, env)
+        b = right(ev, env)
+        return Approx(
+            (a.value, b.value), _cap(r(a.radius) + s(b.radius)), a.sided or b.sided
+        )
 
-        if isinstance(t, T.WandT):
-            a = self.eval(env, t.left)
-            b = self.eval(env, t.right)
-            sided = a.sided or b.sided
-            if a.sided == "upper":  # antitone position flips the side
-                sided = "lower" if b.sided in (None, "lower") else sided
-            return Approx(
-                wand(float(a.value), float(b.value)),
-                _cap(a.radius + b.radius),
-                sided,
-            )
+    @staticmethod
+    def _run_LetTensor(left_name, right_name, bound, body, ev, env) -> Approx:
+        b = bound(ev, env)
+        v = deref(b.value)
+        if not isinstance(v, tuple):
+            raise EvalError(f"tensor let on non-pair {v!r}")
+        env2 = dict(env)
+        env2[left_name] = Approx(v[0], b.radius)
+        env2[right_name] = Approx(v[1], b.radius)
+        return body(ev, env2)
 
-        if isinstance(t, T.Scale):
-            body = self.eval(env, t.body)
-            return Approx(
-                scale_prop(t.r, float(body.value)),
-                _scaled(t.r, body.radius),
-                body.sided,
-            )
+    @staticmethod
+    def _run_DiracTerm(body, ev, env) -> Approx:
+        out = body(ev, env)
+        return Approx(dirac(out.value), out.radius, out.sided)
 
-        if isinstance(t, T.Neg):
-            body = self.eval(env, t.body)
-            sided = body.sided
-            if sided == "upper":
-                sided = "lower"
-            elif sided == "lower":
-                sided = "upper"
-            return Approx(1.0 - float(body.value), body.radius, sided)
+    @staticmethod
+    def _run_Mix(p, left, right, ev, env) -> Approx:
+        a = left(ev, env)
+        b = right(ev, env)
+        pf = float(p)
+        return ev._combine_branches(
+            [(a.value, p), (b.value, 1 - p)],
+            _cap(pf * a.radius + (1 - pf) * b.radius),
+            a.sided or b.sided,
+        )
 
-        if isinstance(t, T.Conj):
-            a = self.eval(env, t.left)
-            b = self.eval(env, t.right)
-            return Approx(
-                max(float(a.value), float(b.value)),
-                max(a.radius, b.radius),
-                a.sided or b.sided,
-            )
+    def _analyse_LetSample(self, t: T.LetSample) -> Run:
+        return partial(
+            self._run_LetSample, t, self.analyse(t.bound), self.analyse(t.body),
+            _scaler(t.bind_grade if t.bind_grade is not None else ONE),
+        )
 
-        if isinstance(t, T.Disj):
-            a = self.eval(env, t.left)
-            b = self.eval(env, t.right)
-            return Approx(
-                min(float(a.value), float(b.value)),
-                max(a.radius, b.radius),
-                a.sided or b.sided,
-            )
-
-        if isinstance(t, T.Exists):
-            special = self._eval_coupling_exists(env, t)
-            if special is not None:
-                return special
-            return self._eval_quantifier(env, t, want_inf=True)
-
-        if isinstance(t, T.Forall):
-            return self._eval_quantifier(env, t, want_inf=False)
-
-        raise EvalError(f"cannot evaluate {type(t).__name__}")
-
-    # -- helpers ---------------------------------------------------------
-
-    def _eval_let_sample(self, env: Env, t: T.LetSample) -> Approx:
-        bound = self.eval(env, t.bound)
-        mu = deref(bound.value)
+    @staticmethod
+    def _run_LetSample(t, bound, body, scaled, ev, env) -> Approx:
+        b = bound(ev, env)
+        mu = deref(b.value)
         if not isinstance(mu, Dist):
             raise EvalError(f"sampling from non-distribution {mu!r}")
-        grade = t.bind_grade if t.bind_grade is not None else ONE
         branch: List[Tuple[Any, Fraction]] = []
         worst_inner = 0.0
-        sided = bound.sided
+        sided = b.sided
         for v, w in mu.points:
             env2 = dict(env)
             env2[t.name] = Approx(v)
-            out = self.eval(env2, t.body)
+            out = body(ev, env2)
             worst_inner = max(worst_inner, out.radius)
             sided = sided or out.sided
             branch.append((out.value, w))
-        radius = _cap(worst_inner + _scaled(grade, bound.radius))
+        radius = _cap(worst_inner + scaled(b.radius))
         if not branch and not isinstance(t.body_type, T.TDist):
             if t.body_type is None:
                 raise EvalError("sampling lacks its body type annotation")
             # a point-free mu (residual 1) pins no value of the body's
             # type: any inhabitant is within the 1-bounded metric
-            return Approx(self.canonical_seed(t.body_type), 1.0, sided)
-        return self._combine_branches(
+            return Approx(ev.canonical_seed(t.body_type), 1.0, sided)
+        return ev._combine_branches(
             branch, radius, sided, mu.residual_div, mu.residual_approx
         )
+
+    @staticmethod
+    def _run_Succ(body, ev, env) -> Approx:
+        out = body(ev, env)
+        return Approx(deref(out.value) + 1, out.radius, out.sided)
+
+    @staticmethod
+    def _run_NatRec(zero_case, prev_name, index_name, succ_case, scrut, ev, env):
+        n = deref(scrut(ev, env).value)
+        acc = zero_case(ev, env)
+        for k in range(int(n)):
+            env2 = dict(env)
+            env2[prev_name] = acc
+            env2[index_name] = Approx(k)
+            acc = succ_case(ev, env2)
+        return acc
+
+    @staticmethod
+    def _run_Fld(label, step, ev, env) -> Approx:
+        lab = label(ev, env)
+        st = step(ev, env)
+        node = VProc(deref(lab.value), deref(st.value))
+        return Approx(node, _cap(lab.radius + st.radius), lab.sided or st.sided)
+
+    @staticmethod
+    def _run_Ufld(body, ev, env) -> Approx:
+        out = body(ev, env)
+        node = deref(out.value)
+        if not isinstance(node, VProc):
+            raise EvalError(f"unfolding non-process {node!r}")
+        return Approx((node.label, node.step), out.radius, out.sided)
+
+    # -- predicates --------------------------------------------------------
+
+    def _analyse_Eq(self, t: T.Eq) -> Run:
+        if t.at_type is None:
+            metric = _raising("equality lacks its type annotation")
+        else:
+            metric = self.metric(t.at_type)
+        return partial(
+            self._run_Eq, self.analyse(t.left), self.analyse(t.right), metric
+        )
+
+    @staticmethod
+    def _run_Eq(left, right, metric, ev, env) -> Approx:
+        a = left(ev, env)
+        b = right(ev, env)
+        return metric(ev, a.value, b.value, None).widen(a.radius + b.radius)
+
+    @staticmethod
+    def _run_Star(left, right, ev, env) -> Approx:
+        a = left(ev, env)
+        b = right(ev, env)
+        return Approx(
+            oplus(float(a.value), float(b.value)),
+            _cap(a.radius + b.radius),
+            a.sided or b.sided,
+        )
+
+    @staticmethod
+    def _run_WandT(left, right, ev, env) -> Approx:
+        a = left(ev, env)
+        b = right(ev, env)
+        sided = a.sided or b.sided
+        if a.sided == "upper":  # antitone position flips the side
+            sided = "lower" if b.sided in (None, "lower") else sided
+        return Approx(
+            wand(float(a.value), float(b.value)), _cap(a.radius + b.radius), sided
+        )
+
+    def _analyse_Scale(self, t: T.Scale) -> Run:
+        scaled = _scaler(t.r)
+        # scale_prop rejects a zero grade; otherwise it is ``scaled``
+        value = scaled if t.r != ZERO else partial(scale_prop, t.r)
+        return partial(self._run_Scale, value, scaled, self.analyse(t.body))
+
+    @staticmethod
+    def _run_Scale(value, scaled, body, ev, env) -> Approx:
+        out = body(ev, env)
+        return Approx(value(float(out.value)), scaled(out.radius), out.sided)
+
+    @staticmethod
+    def _run_Neg(body, ev, env) -> Approx:
+        out = body(ev, env)
+        sided = _FLIPPED.get(out.sided, out.sided)
+        return Approx(1.0 - float(out.value), out.radius, sided)
+
+    @staticmethod
+    def _run_Conj(left, right, ev, env) -> Approx:
+        a = left(ev, env)
+        b = right(ev, env)
+        return Approx(
+            max(float(a.value), float(b.value)),
+            max(a.radius, b.radius),
+            a.sided or b.sided,
+        )
+
+    @staticmethod
+    def _run_Disj(left, right, ev, env) -> Approx:
+        a = left(ev, env)
+        b = right(ev, env)
+        return Approx(
+            min(float(a.value), float(b.value)),
+            max(a.radius, b.radius),
+            a.sided or b.sided,
+        )
+
+    def _analyse_Exists(self, t: T.Exists) -> Run:
+        quantifier = self._quantifier(t, want_inf=True)
+        coupling = self._coupling_exists(t)
+        if coupling is None:
+            return quantifier
+        return partial(self._run_Exists, coupling, quantifier)
+
+    @staticmethod
+    def _run_Exists(coupling, quantifier, ev, env) -> Approx:
+        special = coupling(ev, env)
+        return quantifier(ev, env) if special is None else special
+
+    def _analyse_Forall(self, t: T.Forall) -> Run:
+        return self._quantifier(t, want_inf=False)
+
+    # -- helpers ---------------------------------------------------------
 
     def _combine_branches(
         self, branch: List[Tuple[Any, Fraction]], radius: float, sided,
@@ -587,17 +731,23 @@ class Evaluator:
 
     # -- quantifiers -------------------------------------------------------
 
-    def _eval_quantifier(self, env: Env, t, want_inf: bool) -> Approx:
-        domain, exhaustive = self.quantifier_domain(t.var_type)
+    def _quantifier(self, t, want_inf: bool) -> Run:
+        return partial(
+            self._run_quantifier, self.analyse(t.body), t.name, t.var_type, want_inf
+        )
+
+    @staticmethod
+    def _run_quantifier(body, name, var_type, want_inf, ev, env) -> Approx:
+        domain, exhaustive = ev.quantifier_domain(var_type)
         if not domain:
-            raise EvalError(f"empty quantifier domain for {t.var_type}")
+            raise EvalError(f"empty quantifier domain for {var_type}")
         best = None
         worst_rad = 0.0
         sided = None
         for v in domain:
             env2 = dict(env)
-            env2[t.name] = Approx(v)
-            out = self.eval(env2, t.body)
+            env2[name] = Approx(v)
+            out = body(ev, env2)
             worst_rad = max(worst_rad, out.radius)
             sided = sided or out.sided
             x = float(out.value)
@@ -609,7 +759,7 @@ class Evaluator:
 
     # -- coupling special case ----------------------------------------------
 
-    def _eval_coupling_exists(self, env: Env, t: T.Exists) -> Optional[Approx]:
+    def _coupling_exists(self, t: T.Exists) -> Optional[Run]:
         """Exact LP value for goals of the shape
 
             exists w : Dist (A *[1,1] B).
@@ -617,7 +767,8 @@ class Evaluator:
 
         The infimum over all joints is attained at exact couplings
         because the cost is 1-bounded, so the transport optimum is the
-        exact truth value.
+        exact truth value.  Returns None for other goals, and its closure
+        returns None when the marginals are not distributions.
         """
         if not (
             isinstance(t.var_type, T.TDist)
@@ -660,9 +811,15 @@ class Evaluator:
             return None
         if mean_term is None or set(marginals.keys()) != {1, 2}:
             return None
+        return partial(
+            self._run_coupling, *[self.analyse(marginals[i]) for i in (1, 2)],
+            self.analyse(mean_term.body), mean_term.name,
+        )
 
-        mu_a = self.eval(env, marginals[1])
-        nu_a = self.eval(env, marginals[2])
+    @staticmethod
+    def _run_coupling(mu_run, nu_run, mean_run, mean_name, ev, env) -> Optional[Approx]:
+        mu_a = mu_run(ev, env)
+        nu_a = nu_run(ev, env)
         mu, nu = deref(mu_a.value), deref(nu_a.value)
         if not isinstance(mu, Dist) or not isinstance(nu, Dist):
             return None
@@ -675,8 +832,8 @@ class Evaluator:
         def cost(x, y) -> float:
             nonlocal worst_rad, sided
             env2 = dict(env)
-            env2[mean_term.name] = Approx((x, y))
-            out = self.eval(env2, mean_term.body)
+            env2[mean_name] = Approx((x, y))
+            out = mean_run(ev, env2)
             worst_rad = max(worst_rad, out.radius)
             sided = sided or out.sided
             return float(out.value)
@@ -720,18 +877,27 @@ class Evaluator:
     # fixed points
     # ------------------------------------------------------------------
 
-    def fix_eval(self, env: Env, t: T.Fix) -> Approx:
+    def _analyse_Fix(self, t: T.Fix) -> Run:
         if t.fix_type is None or t.contraction is None:
-            raise EvalError("fixed point must be typechecked before evaluation")
+            return _raising("fixed point must be typechecked before evaluation")
         ty = t.fix_type
         p = t.contraction
         if not p < ONE:
-            raise EvalError(f"fixed point grade {p} is not below 1")
+            return _raising(f"fixed point grade {p} is not below 1")
+        body = self.analyse(t.body)
         if isinstance(ty, T.TDist):
-            return self._fix_subdist(env, t)
+            return partial(self._run_fix_subdist, t.name, body)
         if self._contains(ty, (T.TLolli, T.TProc)):
-            return self._fix_lazy(env, t)
-        return self._fix_banach(env, t)
+            # productive process definitions unfold exactly on demand
+            exact = isinstance(ty, T.TProc) or (
+                isinstance(ty, (T.TProd, T.TTensor))
+                and not self._contains(ty, T.TLolli)
+            )
+            pf = float(p) if p != ZERO and not exact else 0.0
+            return partial(self._run_fix_lazy, t.name, ty, pf, body)
+        return partial(
+            self._run_fix_banach, t.name, ty, float(p), self.metric(ty), body
+        )
 
     @staticmethod
     def _contains(ty: T.Type, leaves) -> bool:
@@ -745,7 +911,8 @@ class Evaluator:
             )
         return False
 
-    def _fix_subdist(self, env: Env, t: T.Fix) -> Approx:
+    @staticmethod
+    def _run_fix_subdist(name, body, ev, env) -> Approx:
         """Ascending iteration on subdistributions from the empty one.
 
         Residual mass decays by the recursion grade per unfolding and
@@ -753,11 +920,11 @@ class Evaluator:
         """
         current = empty_subdist()
         inner = 0.0
-        tol = self.config.tol
-        for _ in range(max(1, self.config.fuel)):
+        tol = ev.config.tol
+        for _ in range(max(1, ev.config.fuel)):
             env2 = dict(env)
-            env2[t.name] = Approx(current)
-            out = self.eval(env2, t.body)
+            env2[name] = Approx(current)
+            out = body(ev, env2)
             nxt = deref(out.value)
             if not isinstance(nxt, Dist):
                 raise EvalError("distribution fixed point produced a non-distribution")
@@ -767,46 +934,41 @@ class Evaluator:
                 break
         return Approx(current, _cap(float(current.residual_approx) + inner))
 
-    def _fix_banach(self, env: Env, t: T.Fix) -> Approx:
-        p = t.contraction
-        pf = float(p)
-        x = self.canonical_seed(t.fix_type)
+    @staticmethod
+    def _run_fix_banach(name, ty, pf, metric, body, ev, env) -> Approx:
+        x = ev.canonical_seed(ty)
         inner = 0.0
         d_last = 1.0
-        for _ in range(max(1, self.config.fuel)):
+        for _ in range(max(1, ev.config.fuel)):
             env2 = dict(env)
-            env2[t.name] = Approx(x)
-            out = self.eval(env2, t.body)
+            env2[name] = Approx(x)
+            out = body(ev, env2)
             nxt = out.value
             inner = out.radius
-            d_last = self.distance_at(t.fix_type, x, nxt).value
+            d_last = metric(ev, x, nxt, None).value
             x = nxt
-            if pf == 0.0 or d_last * pf / (1.0 - pf) <= self.config.tol:
+            if pf == 0.0 or d_last * pf / (1.0 - pf) <= ev.config.tol:
                 break
         radius = 0.0 if pf == 0.0 else _cap(pf * d_last / (1.0 - pf))
         return Approx(x, _cap(radius + inner))
 
-    def _fix_lazy(self, env: Env, t: T.Fix) -> Approx:
-        pf = float(t.contraction) if t.contraction != ZERO else 0.0
+    @staticmethod
+    def _run_fix_lazy(name, ty, pf, body, ev, env) -> Approx:
+        """A thunk that unfolds on demand; radius ``pf^fuel`` past the cap
+        (``pf`` is 0 for an exact, productive definition)."""
 
         def make_body(thunk: VThunk) -> Approx:
             env2 = dict(env)
-            env2[t.name] = Approx(VRef(thunk, ()))
-            return self.eval(env2, t.body)
+            env2[name] = Approx(VRef(thunk, ()))
+            return body(ev, env2)
 
         thunk = VThunk(
             make_body=make_body,
-            fix_type=t.fix_type,
-            max_unfolds=max(1, self.config.fuel),
-            fallback=self.canonical_seed,
+            fix_type=ty,
+            max_unfolds=max(1, ev.config.fuel),
+            fallback=ev.canonical_seed,
         )
-        radius = pf ** self.config.fuel if pf > 0 else 0.0
-        if isinstance(t.fix_type, T.TProc) or (
-            isinstance(t.fix_type, (T.TProd, T.TTensor))
-            and not self._contains(t.fix_type, T.TLolli)
-        ):
-            # productive process definitions unfold exactly on demand
-            radius = 0.0
+        radius = pf ** ev.config.fuel if pf > 0 else 0.0
         return Approx(VRef(thunk, ()), radius)
 
     def eval_defs(self, qfile) -> Env:
@@ -822,3 +984,17 @@ class Evaluator:
                 self.checker.synthesize(qfile.ctx.types(), d.term)
             values[nm] = self.eval(env, d.term)
         return values
+
+
+def _value_key(v: Any) -> Any:
+    """The key under which the discrete metric compares two values."""
+    return key_of(deref(v) if isinstance(v, VRef) else v)
+
+
+def _raising(message: str) -> Callable[..., Any]:
+    """A closure that raises ``EvalError(message)`` when it is run."""
+
+    def run(*_args):
+        raise EvalError(message)
+
+    return run

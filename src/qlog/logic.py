@@ -96,13 +96,38 @@ def _json_object(text: str) -> dict:
     return obj
 
 
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, default: Any = None) -> Any:
+    """``obj[key]``, or ``default`` if one is given and the key is absent;
+    a value that is not of JSON kind ``kind`` is a TypeError naming the key."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} is not {_KINDS[kind]}")
+    return value
+
+
+def _object(obj: Any) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError("not an object")
+    return obj
+
+
 def judgment_from_json(obj: dict, qfile: Optional[QlogFile] = None) -> LogicJudgment:
+    obj = _object(obj)
     bindings = []
-    for name, tystr in obj.get("delta", []):
-        bindings.append((name, INF, parse_type(tystr)))
+    for entry in _field(obj, "delta", list, []):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(x, str) for x in entry)):
+            raise TypeError("'delta' entry is not a [name, type] pair of strings")
+        bindings.append((entry[0], INF, parse_type(entry[1])))
     delta = T.TypeCtx(tuple(bindings))
-    hyps = [parse_term(src, qfile) for src in obj.get("hyps", [])]
-    goal = parse_term(obj["goal"], qfile)
+    hyps = _field(obj, "hyps", list, [])
+    if not all(isinstance(h, str) for h in hyps):
+        raise TypeError("'hyps' is not a list of strings")
+    hyps = [parse_term(src, qfile) for src in hyps]
+    goal = parse_term(_field(obj, "goal", str), qfile)
     return LogicJudgment(delta, hyps, goal)
 
 
@@ -110,16 +135,17 @@ def derivation_from_json(
     obj: dict, qfile: Optional[QlogFile] = None, path: str = "root"
 ) -> Derivation:
     with _malformed(path):
-        rule = obj["rule"]
+        rule = _field(_object(obj), "rule", str)
     with _malformed(f"{path} [{rule}]"):
         jobj = obj["judgment"]
-        kids = list(obj.get("children", []))
+        params = _field(obj, "params", dict, {})
+        kids = _field(obj, "children", list, [])
     with _malformed(f"{path} [{rule}] judgment"):
         judgment = judgment_from_json(jobj, qfile)
     return Derivation(
         rule=rule,
         judgment=judgment,
-        params=obj.get("params", {}),
+        params=params,
         children=[derivation_from_json(c, qfile, f"{path}.{i}")
                   for i, c in enumerate(kids)],
     )

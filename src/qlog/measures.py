@@ -16,9 +16,12 @@ Weights are exact ``Fraction``s so that canonical forms, convex
 combinations and the transport LP below are exact.
 
 Bottom rule.  :func:`transport` is the one entry point to the LP.  When
-either side has residual mass it adjoins :data:`BOTTOM` to both sides,
-each carrying that side's residual (a zero-mass row or column carries
-no flow); the costs of ``BOTTOM`` come from :func:`lift_relation`.
+either side has residual mass, ``_with_bottom`` adjoins :data:`BOTTOM`
+to both sides, each carrying that side's residual (a zero-mass row or
+column carries no flow); the costs of ``BOTTOM`` come from
+:func:`lift_relation`.  :func:`total_variation` reads the same points,
+so on subdistributions it is the LP's optimum under the discrete
+metric.
 
 Support order.  :meth:`Dist.from_pairs` is the one constructor: it
 merges points with equal :func:`key_of` keys, checks every weight and
@@ -387,30 +390,33 @@ def lift_relation(post: Callable[[Any, Any], float], mode: str) -> Callable:
     return lifted
 
 
+def _with_bottom(
+    mu: Dist, nu: Dist
+) -> Tuple[List[Tuple[Any, Fraction]], List[Tuple[Any, Fraction]]]:
+    """The points of mu and nu; if either side has residual mass,
+    :data:`BOTTOM` is adjoined to both, each carrying that side's
+    residual."""
+    xs, ys = list(mu.points), list(nu.points)
+    if mu.residual_div or mu.residual_approx or nu.residual_div or nu.residual_approx:
+        xs.append((BOTTOM, mu.residual_div + mu.residual_approx))
+        ys.append((BOTTOM, nu.residual_div + nu.residual_approx))
+    return xs, ys
+
+
 def transport(
     cost: Callable[[Any, Any], Any], mu: Dist, nu: Dist
 ) -> Tuple[Fraction, List[Tuple[Tuple[Any, Any], Fraction]]]:
     """Exact optimal transport between two (sub)distributions.
 
-    If either side has residual mass, :data:`BOTTOM` is adjoined to both
-    sides, each carrying that side's residual.  ``cost`` is called row
+    The points come from :func:`_with_bottom`.  ``cost`` is called row
     by row, ``BOTTOM`` last, and its values go to the solver as they
     are.  Returns the exact optimum and the plan as ``((x, y), mass)``
     pairs in the solver's flow order.
     """
-    xs = [v for v, _ in mu.points]
-    ys = [v for v, _ in nu.points]
-    supplies = [w for _, w in mu.points]
-    demands = [w for _, w in nu.points]
-    if mu.residual_div or mu.residual_approx or nu.residual_div or nu.residual_approx:
-        xs.append(BOTTOM)
-        ys.append(BOTTOM)
-        supplies.append(mu.residual_div + mu.residual_approx)
-        demands.append(nu.residual_div + nu.residual_approx)
-    opt, flow = solve_transport(
-        supplies, demands, [[cost(x, y) for y in ys] for x in xs]
-    )
-    return opt, [((xs[i], ys[j]), q) for (i, j), q in flow.items()]
+    xs, ys = _with_bottom(mu, nu)
+    costs = [[cost(x, y) for y, _ in ys] for x, _ in xs]
+    opt, flow = solve_transport([w for _, w in xs], [w for _, w in ys], costs)
+    return opt, [((xs[i][0], ys[j][0]), q) for (i, j), q in flow.items()]
 
 
 def _require_full(mu: Dist, nu: Dist) -> None:
@@ -452,25 +458,28 @@ def kantorovich_oracle(
     return opt
 
 
-def total_variation(mu: Dist, nu: Dist) -> Fraction:
-    """Exact total-variation distance between full distributions.
+def total_variation(
+    mu: Dist, nu: Dist, key: Callable[[Any], Any] = key_of
+) -> Fraction:
+    """Exact total-variation distance: half the sum over keys of
+    ``|mu(k) - nu(k)|``, points grouped by ``key``.
 
-    Coincides with the Kantorovich distance for the discrete metric;
-    the transport tests exercise that identity.
+    Residual mass sits at the :data:`BOTTOM` point of
+    :func:`_with_bottom`, so on subdistributions this is the
+    Kantorovich distance of :func:`transport` under the discrete metric
+    lifted by ``lift_relation(_, "eq")``: (bot, bot) costs 0 and a
+    one-sided bottom costs 1.  The transport tests check that identity
+    exactly.
     """
-    if mu.residual != 0 or nu.residual != 0:
-        raise ValueError("total variation needs full distributions")
-    left: Dict[Any, Fraction] = {}
-    for v, w in mu.points:
-        left.setdefault(key_of(v), w)
-    right: Dict[Any, Fraction] = {}
-    for v, w in nu.points:
-        right.setdefault(key_of(v), w)
-    tv = sum(
-        (abs(w - right.get(k, 0)) for k, w in left.items()), Fraction(0)
-    )
-    tv += sum((w for k, w in right.items() if k not in left), Fraction(0))
-    return tv / 2
+    xs, ys = _with_bottom(mu, nu)
+    # exact int masses over the lcm of the denominators
+    den = math.lcm(*[w.denominator for _, w in xs], *[w.denominator for _, w in ys])
+    diff: Dict[Any, int] = {}
+    for pts, sign in ((xs, 1), (ys, -1)):
+        for v, w in pts:
+            k = BOTTOM if v is BOTTOM else key(v)
+            diff[k] = diff.get(k, 0) + sign * w.numerator * (den // w.denominator)
+    return Fraction(sum([abs(d) for d in diff.values()]), 2 * den)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,8 @@ class VThunk:
                     self._root = self.make_body(self)
                 finally:
                     self._computing = False
+                # never called again: let go of the evaluator they hold
+                self.make_body = self.fallback = None
             v = self._root.value
             for i in path:
                 if isinstance(v, VRef):

@@ -368,6 +368,14 @@ def test_bisimilarity_at_discount_one_is_a_usage_error(capsys):
     assert err == "bisimilarity distance needs discount < 1, got 1\n"
 
 
+def test_bisim_without_proc_is_a_usage_error(capsys):
+    code, out = run_cli(
+        "distance", corpus("markov.qlog"), "--left", "m", "--right", "n", "--bisim"
+    )
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "--bisim needs --proc\n"
+
+
 SKIP_IMP = corpus("imp", "skip.imp")
 
 
@@ -566,6 +574,16 @@ def _set_param(key, value, at=()):
          "root.0 [eq-i]: missing 'judgment'"),
         ("33_ind_nat.json", _set_param("phi", "v =="),
          "root [ind-nat] phi:1:3: expected a term"),
+        ("01_true.json", lambda n: n.update(rule=["tt"]),
+         "root: 'rule' is not a string"),
+        ("01_true.json", lambda n: n.update(params=0),
+         "root [true]: 'params' is not an object"),
+        ("01_true.json", lambda n: n.update(children=5),
+         "root [true]: 'children' is not a list"),
+        ("33_ind_nat.json", lambda n: n["children"].__setitem__(0, 5),
+         "root.0: not an object"),
+        ("01_true.json", lambda n: n["judgment"].update(hyps=5),
+         "root [true] judgment: 'hyps' is not a list"),
     ],
 )
 def test_malformed_proof_file_is_a_usage_error(tmp_path, capsys, fname, edit, message):
@@ -573,6 +591,27 @@ def test_malformed_proof_file_is_a_usage_error(tmp_path, capsys, fname, edit, me
     code, out = run_cli("prove", str(path))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "judgment, message",
+    [
+        ({"hyps": 5, "goal": "tt"}, "'hyps' is not a list"),
+        ({"hyps": ["tt", 5], "goal": "tt"}, "'hyps' is not a list of strings"),
+        ({"delta": "x", "goal": "tt"}, "'delta' is not a list"),
+        ({"delta": [["x"]], "goal": "tt"},
+         "'delta' entry is not a [name, type] pair of strings"),
+        ({"goal": 3}, "'goal' is not a string"),
+        ({"hyps": []}, "missing 'goal'"),
+        (5, "not an object"),
+    ],
+)
+def test_malformed_judgment_is_a_usage_error(tmp_path, capsys, judgment, message):
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps({"judgment": judgment}))
+    code, out = run_cli("judge", str(path))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"{path}: judgment: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["prove", "judge"])

@@ -11,7 +11,7 @@ from qlog.grades import Grade, ONE
 from qlog.measures import Dist, convex, dirac, empty_subdist, pushforward
 from qlog.parser import parse_file, parse_term, parse_type
 from qlog.typecheck import Checker
-from qlog.values import Approx, VInj, VNative, VProc, deref
+from qlog.values import UNIT, Approx, VInj, VNative, VProc, deref
 
 
 def make_eval(fuel=40, tol=1e-9, alphabets=None, enums=None):
@@ -136,6 +136,38 @@ def test_distance_at_distributions():
     d = ev.distance_at(DNAT, sub, dirac(0))
     assert d.value == pytest.approx(0.5)
     assert d.radius >= 0.5  # truncation widens the radius
+
+
+def test_discrete_dist_equality_solves_no_lp(monkeypatch):
+    """`==` at Dist over Nat, Unit or an alphabet is the exact total
+    variation, the LP's optimum, without an LP; at Dist Prop it is the LP."""
+    from qlog import measures
+
+    disc = lambda a, b: 0.0 if measures.key_of(a) == measures.key_of(b) else 1.0
+    sub = Dist.from_pairs
+    cases = [
+        ("Dist Nat", sub([(0, F(1, 2)), (3, F(1, 4))], residual_approx=F(1, 4)),
+         sub([(3, F(3, 4))], residual_div=F(1, 4))),
+        ("Dist Unit", sub([(UNIT, F(1, 2))], residual_approx=F(1, 2)), dirac(UNIT)),
+        ("Dist C", sub([("Hd", F(1, 3)), ("Tl", F(2, 3))]), dirac("Tl")),
+    ]
+    lp = [float(measures.transport(measures.lift_relation(disc, "eq"), mu, nu)[0])
+          for _, mu, nu in cases]
+    calls = []
+    solve = measures.solve_transport
+    monkeypatch.setattr(
+        measures, "solve_transport", lambda *a: calls.append(a) or solve(*a)
+    )
+    for (ty, mu, nu), want in zip(cases, lp):
+        out = run("x == y", types={"x": parse_type(ty), "y": parse_type(ty)},
+                  env={"x": Approx(mu), "y": Approx(nu)})
+        assert out.value == want
+        assert out.radius == min(float(mu.residual_approx + nu.residual_approx), 1.0)
+    assert calls == []
+    dprop = parse_type("Dist Prop")
+    out = run("x == y", types={"x": dprop, "y": dprop},
+              env={"x": Approx(dirac(0.25)), "y": Approx(dirac(0.75))})
+    assert out.value == 0.5 and len(calls) == 1
 
 
 def test_distance_at_functions_needs_probes():

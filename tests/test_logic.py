@@ -21,6 +21,7 @@ from qlog.logic import (
 from qlog.measures import Coupling, Dist, dirac, optimal_coupling
 from qlog.parser import parse_term, parse_type
 from qlog.sampling import sample_envs
+from qlog import terms as T
 from qlog.terms import TypeCtx
 from qlog.typecheck import Checker
 from qlog.values import Approx
@@ -49,6 +50,43 @@ def test_corpus_derivation(fname):
     envs = sample_envs(ev, deriv.judgment.delta, 20, seed=0)
     sem = check_semantic(ev, deriv.judgment, envs, tol=1e-3)
     assert sem.ok, sem.violations[:2]
+
+
+def _term_nodes(terms):
+    """Every term node under ``terms``, by identity."""
+    nodes, todo = {}, list(terms)
+    while todo:
+        t = todo.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            todo.extend(c for _, c in T._children(t))
+    return nodes
+
+
+def test_check_semantic_analyses_each_term_node_once():
+    qfile, deriv = _load("30_congruence_mix.json")
+    ck, ev = _tools(qfile)
+    j = deriv.judgment
+    envs = sample_envs(ev, j.delta, 200, seed=0)
+    assert check_semantic(ev, j, envs, tol=1e-3).ok
+    nodes = _term_nodes([*j.hyps, j.goal])
+    assert {id(t) for t in ev._analysed} == set(nodes)
+    assert len(ev._analysed) == len(nodes) < len(envs)
+
+
+@pytest.mark.parametrize(
+    "fname", ["24_exists_intro.json", "26_forall_intro.json", "30_congruence_mix.json",
+              "31_ind_tensor.json", "34_ind_dist.json"],
+)
+def test_analysed_terms_match_a_fresh_evaluator(fname):
+    qfile, deriv = _load(fname)
+    ck, ev = _tools(qfile)
+    j = deriv.judgment
+    j.well_formed(ck)
+    for env in sample_envs(ev, j.delta, 50, seed=7):
+        for t in [*j.hyps, j.goal]:
+            kept, fresh = ev.eval(env, t), _tools(qfile)[1].eval(env, t)
+            assert repr(kept) == repr(fresh)
 
 
 def test_rule_coverage_is_complete():

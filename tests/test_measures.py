@@ -134,12 +134,17 @@ def test_lp_equals_vertex_enumeration_exactly():
 
 
 def test_total_variation_is_discrete_transport():
+    """Exactly the LP optimum under the discrete metric, residual mass at
+    BOTTOM lifted by "eq", on every combination of residual sides."""
     rng = random.Random(14)
-    for _ in range(60):
-        mu, nu = rand_dist(rng), rand_dist(rng)
+    full = [(mu, rand_dist(rng)) for mu in (rand_dist(rng) for _ in range(60))]
+    subdists = [(mu, nu) for _, mu, nu in _subdist_pairs(24, 300)]
+    sides = {(mu.residual > 0, nu.residual > 0) for mu, nu in subdists}
+    assert sides == {(False, False), (True, False), (False, True), (True, True)}
+    for mu, nu in full + subdists:
         tv = total_variation(mu, nu)
-        lp = kantorovich(DISC, mu, nu)
-        assert float(tv) == pytest.approx(lp, abs=1e-9)
+        assert type(tv) is F
+        assert tv == transport(lift_relation(DISC, "eq"), mu, nu)[0]
 
 
 def test_unbalanced_rejected():

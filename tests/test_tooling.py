@@ -77,6 +77,25 @@ def test_every_binary_form_has_an_infix_row():
     assert all(assoc in ("left", "right", "none") for _, _, assoc in T.INFIX.values())
 
 
+def test_every_term_form_has_an_analyser_or_a_run_over_its_fields():
+    """``Evaluator.analyse`` passes a node's fields, in order, to
+    ``_run_<class>`` unless the form has its own ``_analyse_<class>``: a
+    new form without either, or a run whose parameters drift from the
+    fields, fails here instead of at its first evaluation."""
+    import inspect
+
+    from qlog import terms as T
+    from qlog.evaluator import Evaluator
+
+    for cls in T.Term.__subclasses__():
+        if hasattr(Evaluator, "_analyse_" + cls.__name__):
+            continue
+        run = getattr(Evaluator, "_run_" + cls.__name__, None)
+        assert run is not None, cls
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert list(inspect.signature(run).parameters) == fields + ["ev", "env"], cls
+
+
 def test_no_unused_imports():
     """Every name a module of the package imports is read in it, or is
     re-exported through its ``__all__``."""
