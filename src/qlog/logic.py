@@ -167,7 +167,10 @@ def load_judgment_file(text: str, base_dir: Optional[str] = None):
     obj = _json_object(text)
     qfile = load_source(obj, base_dir)
     with _malformed("judgment"):
-        jobj = obj.get("judgment") or obj.get("derivation", {}).get("judgment")
+        if "judgment" in obj:
+            jobj = obj["judgment"]
+        else:
+            jobj = _field(obj, "derivation", dict, {}).get("judgment")
         if jobj is None:
             raise InputError("no judgment")
         return qfile, judgment_from_json(jobj, qfile)

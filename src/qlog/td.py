@@ -30,14 +30,16 @@ Masses.  Between steps the paired distribution is a list of rows
 ((V, W), m, d): m is a Python int over one denominator ``den``, the
 input's denominator times the product of the branch tables'
 denominators, and d is d_max(V, W).  A step builds no ``Dist`` and no
-``Fraction``.  Paths are merged in a dict keyed by the raw (V, W)
-tuple, whose equality on all-float tuples is ``key_of`` equality (so
-the route rule counts raw V and W tuples too); d is the max of the
-path's per-state gaps |uv - uw|, each computed once per (input row,
-state, branch).  The support cap is checked on the merged count.  The
-rows stay in first-seen order, never sorted: nothing reported depends
-on their order.  ``td_step`` is the V half of the paired step from
-(v, v), built once into a ``Dist`` by ``Dist.from_pairs``.
+``Fraction``, and works by columns: each (state, branch) has one V,
+one W and one gap |uv - uw| column over all of the step's rows, each
+computed once.  A path zips its branches' columns into (V, W) keys,
+and its d is the max of their gaps.  Rows are merged in a dict keyed
+by the raw (V, W) tuple, whose equality on all-float tuples is
+``key_of`` equality (so the route rule counts raw V and W tuples too).
+The support cap is checked on the merged count.  The rows stay in
+first-seen order (input row, then path), never sorted: nothing
+reported depends on their order.  ``td_step`` is the V half of the
+paired step from (v, v), built once into a ``Dist`` by ``Dist.from_pairs``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Dict, List, Tuple
 
 from .measures import Dist, dirac, expectation, kantorovich
@@ -115,39 +117,37 @@ def _paired_masses(
     an int over ``den``, on shared randomness: the merged updated rows
     in first-seen order, with int masses over the returned denominator
     (see Masses above).  A row's input distance is not read."""
-    alpha = float(mdp.alpha)
-    gamma = float(mdp.gamma)
-    tables = []
+    if not mdp.n_states:  # one empty path: every pair is ((), ())
+        return ([[((), ()), sum(m for _, m, _ in rows), 0.0]] if rows else []), den
+    alpha, gamma = float(mdp.alpha), float(mdp.gamma)
+    keep = 1 - alpha
+    masses = [m for _, m, _ in rows]
+    sides = [[pair[side] for pair, _, _ in rows] for side in (0, 1)]
+    # per (state, branch): V, W and gap columns; 1.0 if 1.0 < t else t is min(t, 1.0)
+    states = []
     for i in range(mdp.n_states):
         table, d = _branch_table(mdp, i)
-        tables.append(table)
         den *= d
-    # a path's mass factor is the same from every input point
-    factors = [
-        math.prod(qs)
-        for qs in product(*[[q for _, _, q in table] for table in tables])
-    ]
+        states.append([])
+        for r, j, q in table:
+            uv, uw = (
+                [keep * x[i] + alpha * (1.0 if 1.0 < (t := r + gamma * x[j]) else t)
+                 for x in xs] for xs in sides
+            )
+            states[-1].append((uv, uw, [abs(a - b) for a, b in zip(uv, uw)], q))
+    paths = []
+    for path in product(*states):
+        uvs, uws, gaps, qs = zip(*path)
+        q = math.prod(qs)
+        ds = map(max, *gaps) if len(gaps) > 1 else gaps[0]
+        keys = zip(zip(*uvs), zip(*uws))
+        paths.append(map(list, zip(keys, [m * q for m in masses], ds)))
+    # rows [key, mass, d] by input row, then path; a key keeps its first row
     merged: Dict[Tuple[tuple, tuple], list] = {}
-    get = merged.get
-    for (v, w), mass, _ in rows:
-        uvs, uws, gaps = [], [], []
-        for i, table in enumerate(tables):
-            keep_v = (1 - alpha) * v[i]
-            keep_w = (1 - alpha) * w[i]
-            us = [keep_v + alpha * min(r + gamma * v[j], 1.0) for r, j, _ in table]
-            ws = [keep_w + alpha * min(r + gamma * w[j], 1.0) for r, j, _ in table]
-            uvs.append(us)
-            uws.append(ws)
-            gaps.append([abs(a - b) for a, b in zip(us, ws)])
-        # on all-float tuples, tuple equality is key_of equality
-        for key, q, gap in zip(
-            zip(product(*uvs), product(*uws)), factors, product(*gaps)
-        ):
-            row = get(key)
-            if row is None:
-                merged[key] = [key, mass * q, max(gap, default=0.0)]
-            else:
-                row[1] += mass * q
+    for row in chain.from_iterable(zip(*paths)):
+        first = merged.setdefault(row[0], row)
+        if first is not row:
+            first[1] += row[1]
     return list(merged.values()), den
 
 

@@ -272,9 +272,10 @@ def test_td_contraction_rows_match_reference():
     assert all(routes.values()), routes
 
 
-def _paired_step(mdp, pair_dist):
-    """One paired step from Dist to Dist, through the int-mass rows;
-    every row's distance must be d_max of its pair."""
+def _paired_rows(mdp, pair_dist):
+    """One paired step's rows in the order returned, as (pair, Fraction)
+    through the int-mass rows; every row's distance must be d_max of its
+    pair."""
     den = math.lcm(*[q.denominator for _, q in pair_dist.points])
     rows, den = _paired_masses(
         mdp,
@@ -283,11 +284,17 @@ def _paired_step(mdp, pair_dist):
         den,
     )
     assert [d for _, _, d in rows] == [d_max(*vw) for vw, _, _ in rows]
-    return Dist.from_pairs([(vw, F(m, den)) for vw, m, _ in rows])
+    return [(vw, F(m, den)) for vw, m, _ in rows]
 
 
-def _paired_step_reference(mdp, pair_dist):
-    """The paired step as first written: one triple loop per branch."""
+def _paired_step(mdp, pair_dist):
+    """One paired step from Dist to Dist, through the int-mass rows."""
+    return Dist.from_pairs(_paired_rows(mdp, pair_dist))
+
+
+def _paired_rows_reference(mdp, pair_dist):
+    """The paired step as first written, one triple loop per branch: its
+    (pair, mass) list before canonicalisation."""
     out = []
     alpha = float(mdp.alpha)
     gamma = float(mdp.gamma)
@@ -310,7 +317,11 @@ def _paired_step_reference(mdp, pair_dist):
                             )
             branches = nxt
         out.extend(branches)
-    return Dist.from_pairs(out)
+    return out
+
+
+def _paired_step_reference(mdp, pair_dist):
+    return Dist.from_pairs(_paired_rows_reference(mdp, pair_dist))
 
 
 def _bits(d):
@@ -337,6 +348,94 @@ def test_paired_step_matches_reference(seed):
         old = _paired_step_reference(mdp, old)
         assert _bits(new) == _bits(old)
         assert new.residual == old.residual == 0
+
+
+def _spelled(vw):
+    return tuple(tuple(x.hex() for x in side) for side in vw)
+
+
+def _one_state_mdp():
+    a0, a1 = "a0", "a1"
+    mdp = MDP(
+        n_states=1,
+        actions=[a0, a1],
+        transition={(a0, 0): dirac(0), (a1, 0): dirac(0)},
+        reward={(0, a0): Dist.from_pairs([(0.25, F(1, 3)), (0.75, F(2, 3))]),
+                (0, a1): dirac(0.5)},
+        policy={0: Dist.from_pairs([(a0, F(3, 8)), (a1, F(5, 8))])},
+    )
+    return mdp, (0.9,), (0.1,)  # 0.75 + 0.9 / 2 clips at 1
+
+
+def _clipping_mdp():
+    mdp = random_mdp(4)
+    mdp.gamma = F(4, 5)
+    mdp.reward[(0, "a0")] = Dist.from_pairs([(0.05, F(3, 4)), (0.9, F(1, 4))])
+    mdp.reward[(1, "a1")] = dirac(0.875)
+    return mdp, (0.95, 0.9, 0.85), (0.2, 0.6, 1.0)  # 0.9 + 4/5 * 0.2 clips
+
+
+@pytest.mark.parametrize("make", [_one_state_mdp, _clipping_mdp])
+def test_paired_rows_come_in_the_reference_order(make):
+    """Before Dist.from_pairs sorts them, the rows come input row first,
+    then branch product: the reference's list merged by float equality
+    in first-seen order, each key spelled as first seen."""
+    mdp, v, w = make()
+    pairs = dirac((v, w))
+    for _ in range(3):
+        want = {}
+        for vw, q in _paired_rows_reference(mdp, pairs):
+            want.setdefault(vw, [_spelled(vw), 0])[1] += q
+        got = [(_spelled(vw), q) for vw, q in _paired_rows(mdp, pairs)]
+        assert got == [tuple(row) for row in want.values()]
+        pairs = _paired_step(mdp, pairs)
+    assert len(pairs.points) > 3  # the later steps start from several rows
+
+
+def _bench_shaped_mdp():
+    """The bench's td input at branching 4: a coin policy at state 0 and
+    a coin transition under state 1's action, with values and rewards on
+    the 2^-20 grid and rewards below 1 - gamma, so no update clips and no
+    two paths meet: the support has 4^m points after m steps."""
+    g = 2**20
+    a0, a1 = "a0", "a1"
+    mdp = MDP(
+        n_states=3,
+        actions=[a0, a1],
+        transition={
+            (a0, 0): dirac(1), (a1, 0): dirac(2),
+            (a0, 1): dirac(0), (a1, 1): Dist.from_pairs([(0, F(5, 8)), (2, F(3, 8))]),
+            (a0, 2): dirac(1), (a1, 2): dirac(0),
+        },
+        reward={
+            (0, a0): dirac(123457 / g), (0, a1): dirac(200001 / g),
+            (1, a0): dirac(77777 / g), (1, a1): dirac(150003 / g),
+            (2, a0): dirac(31111 / g), (2, a1): dirac(9999 / g),
+        },
+        policy={0: Dist.from_pairs([(a0, F(3, 8)), (a1, F(5, 8))]),
+                1: dirac(a1), 2: dirac(a0)},
+        alpha=F(1, 2),
+        gamma=F(4, 5),
+    )
+    v = (654321 / g, 111111 / g, 987654 / g)
+    w = (222222 / g, 876543 / g, 333333 / g)
+    return mdp, v, w
+
+
+def test_td_report_bytes_are_pinned_on_the_coupling_route():
+    """No merges: the support reaches 4096 points at n = 6, and steps 3
+    to 6 take the coupling route."""
+    mdp, v, w = _bench_shaped_mdp()
+    rep = td_contraction_check(mdp, v, w, 6, tol=1e-6)
+    assert [r["mode"] for r in rep.rows] == (
+        ["exact-lp"] * 2 + ["coupling-upper-bound"] * 4
+    )
+    blob = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "affbcfbeb78742a674de4c04295ee58b7952fdb9ddd60a2a8f7a908b514ffaea"
+    )
+    with pytest.raises(ValueError, match="^support blow-up: 4096 pairs at step 6$"):
+        td_contraction_check(mdp, v, w, 6, support_cap=4095)
 
 
 # The TD steps as they were before int masses: a Fraction product per

@@ -604,6 +604,7 @@ def test_malformed_proof_file_is_a_usage_error(tmp_path, capsys, fname, edit, me
         ({"goal": 3}, "'goal' is not a string"),
         ({"hyps": []}, "missing 'goal'"),
         (5, "not an object"),
+        ([], "not an object"),
     ],
 )
 def test_malformed_judgment_is_a_usage_error(tmp_path, capsys, judgment, message):
@@ -612,6 +613,15 @@ def test_malformed_judgment_is_a_usage_error(tmp_path, capsys, judgment, message
     code, out = run_cli("judge", str(path))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"{path}: judgment: {message}\n"
+
+
+def test_judgment_file_derivation_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps({"derivation": []}))
+    code, out = run_cli("judge", str(path))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"{path}: judgment: 'derivation' is not an object\n"
 
 
 @pytest.mark.parametrize("command", ["prove", "judge"])

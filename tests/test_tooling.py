@@ -204,6 +204,57 @@ def test_td_calls_no_sort():
     assert found == []
 
 
+# (importing module, imported module, name): today's uses, to be
+# retired; add none
+PRIVATE_IMPORTS_ALLOWED = {
+    ("imp", "measures", "_sort_token"),
+    ("normalize", "terms", "_children"),
+    ("normalize", "terms", "_clone"),
+    ("parser", "terms", "_bound_over"),
+    ("parser", "terms", "_children"),
+    ("processes", "transport", "_scale_masses"),
+    ("processes", "transport", "_simplex"),
+}
+
+
+def test_no_new_private_imports_across_modules():
+    """No module of the package imports another module's private
+    (``_``-prefixed) name, by ``from .m import _x`` or as ``m._x`` on an
+    imported module, beyond the listed ones."""
+    import ast
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "qlog")
+    modules = {f[:-3] for f in os.listdir(src) if f.endswith(".py")}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = set()
+    for mod in sorted(modules):
+        with open(os.path.join(src, mod + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        aliases = {}  # a local name bound to a module of the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "qlog"):
+                source = (node.module or "").split(".")[-1]
+                for a in node.names:
+                    if a.name in modules and source in ("", "qlog"):
+                        aliases[a.asname or a.name] = a.name
+                    elif private(a.name):
+                        found.add((mod, source, a.name))
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    parts = a.name.split(".")
+                    if parts[0] == "qlog" and len(parts) == 2 and a.asname:
+                        aliases[a.asname] = parts[1]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and private(node.attr)
+                    and getattr(node.value, "id", None) in aliases):
+                found.add((mod, aliases[node.value.id], node.attr))
+    assert sorted(found - PRIVATE_IMPORTS_ALLOWED) == []
+
+
 def test_no_cross_call_caches():
     """No function of the package keeps state from one call to the next:
     none mutates a module-level dict, list or set (by item assignment or
