@@ -1,5 +1,7 @@
 """Imperative language semantics, liftings, triples, error credits."""
 
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -189,6 +191,20 @@ def test_prp_reports():
         for row in rep.rows:
             assert row["per_loop_value"] <= row["per_loop_credit"] + 1e-9
 
+
+
+@pytest.mark.parametrize(
+    "length, n, digest",
+    [
+        (1, 3, "15c786bebe831c375283ca3e4ce567de91e0f775089562241be0729b57f26f42"),
+        (2, 4, "7a8b9f4268665d1e1f618fa2fc6aca12dec13c5d5241fcd2e989810d471f0c6c"),
+        (3, 4, "3c353c9786e1fc00fec9f5d1bcf8097abdb8d2de501ee84427c4482c471e770e"),
+    ],
+)
+def test_prp_report_bytes_are_pinned(length, n, digest):
+    """Every float of the report, its rows and verdicts, byte for byte."""
+    text = json.dumps(prp_prf_check(length, n).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 def test_triple_sequencing_composition():
     """The value of {pre} c1;c2 ~ c1';c2' {post} is below the truncated
