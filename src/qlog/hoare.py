@@ -44,6 +44,7 @@ from .imp import (
     EUnif,
     Program,
     Store,
+    analyse_cmd,
     eval_cmd,
 )
 from .measures import Dist, lift_relation, pushforward, total_variation, transport
@@ -89,12 +90,14 @@ def triple_value(
     the worst shortfall (the error credit needed).
     """
     lifted = lift_relation(post, mode)
+    run_left = analyse_cmd(prog_left, cmd_left, max_iter=max_iter, tol=tol)
+    run_right = analyse_cmd(prog_right, cmd_right, max_iter=max_iter, tol=tol)
     worst = 0.0
     radius = 0.0
     rows = []
     for s, s2 in store_pairs:
-        mu = eval_cmd(prog_left, cmd_left, s, max_iter=max_iter, tol=tol)
-        nu = eval_cmd(prog_right, cmd_right, s2, max_iter=max_iter, tol=tol)
+        mu = run_left(s)
+        nu = run_right(s2)
         cost = coupling_cost(lifted, mu, nu)
         val = wand(float(pre(s, s2)), cost)
         rows.append({"value": val, "cost": cost})
@@ -189,7 +192,7 @@ def check_nth_unused(length: int, n: int) -> bool:
     k-th value outside the image of the filled prefix; for fixed
     (f, i0) the map k -> val is injective into the unused values."""
     prog, _ = make_programs(length, n, length)
-    cmd = CNthUnused("arr", "i", "tmp", "val")
+    run = analyse_cmd(prog, CNthUnused("arr", "i", "tmp", "val"))
     blank = prog.initial_store()
     for fvals in itertools.product(range(n), repeat=length):
         filled = blank
@@ -202,7 +205,7 @@ def check_nth_unused(length: int, n: int) -> bool:
             at_i0 = filled.set("i", i0)
             for k in range(n - len(used)):
                 s = at_i0.set("tmp", k)
-                out = eval_cmd(prog, cmd, s)
+                out = run(s)
                 (final, w), = out.points
                 val = final.get("val")
                 if w != 1 or val != unused[k] or val in seen:

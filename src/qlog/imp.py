@@ -16,9 +16,14 @@ approximation (entering error radii downstream).
 
 Commands are linear maps on measures (Kozen, *Semantics of
 Probabilistic Programs*, JCSS 1981) and weights are exact, so no
-intermediate order can change a weight or the final order: commands
-run on unordered store -> weight maps, merged on store equality (the
-equivalence of ``key_of``), and :func:`eval_cmd` canonicalises once.
+intermediate order can change a weight or the final order.
+:func:`analyse_cmd` analyses each command, and each expression in it,
+once into a run (closure generation, as in Feeley and Lapalme, *Using
+closures for code generation*, 1987).  A run maps a store to an
+unordered store -> weight map, merged on store equality (the
+equivalence of ``key_of``), whose int weights and residuals share one
+denominator.  :func:`eval_cmd` analyses and runs, and canonicalises
+once, building one ``Fraction`` per final store.
 
 Surface syntax (.imp files)::
 
@@ -37,11 +42,12 @@ names in expressions denote reads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from itertools import count, islice
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from math import lcm
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .measures import Dist, _sort_token
 
@@ -260,47 +266,65 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-def eval_expr(prog: Program, store: Store, e: Expr):
+_BINARY = {
+    "+": operator.add,
+    "*": operator.mul,
+    "-": lambda a, b: max(a - b, 0),
+    "<=": operator.le,
+    "==": operator.eq,
+    "&&": lambda a, b: a and b,
+    "||": lambda a, b: a or b,
+}
+
+
+def _analyse_expr(prog: Optional[Program], e: Expr) -> Callable:
+    """``e`` as a run from a store (anything with ``get``) to its value.
+    Both operands of a binary operator are evaluated before it applies."""
     if isinstance(e, ENum):
-        return e.value
+        value = e.value
+        return lambda store: value
     if isinstance(e, ERead):
-        return store.get(e.loc)
+        loc = e.loc
+        return lambda store: store.get(loc)
     if isinstance(e, EIndex):
-        idx = eval_expr(prog, store, e.index)
-        size = prog.arrays[e.array]
-        if not 0 <= idx < size:
-            raise ImpError(f"{e.array}[{idx}] out of bounds (size {size})")
-        return store.get((e.array, idx))
-    if isinstance(e, EBin):
-        a = eval_expr(prog, store, e.left)
-        b = eval_expr(prog, store, e.right)
-        if e.op == "+":
-            return a + b
-        if e.op == "*":
-            return a * b
-        if e.op == "-":
-            return max(a - b, 0)
-        if e.op == "<=":
-            return a <= b
-        if e.op == "==":
-            return a == b
-        if e.op == "&&":
-            return a and b
-        if e.op == "||":
-            return a or b
+        slot = _analyse_slot(prog, e.array, e.index)
+        return lambda store: store.get(slot(store))
+    if isinstance(e, EBin) and e.op in _BINARY:
+        op = _BINARY[e.op]
+        left, right = _analyse_expr(prog, e.left), _analyse_expr(prog, e.right)
+        return lambda store: op(left(store), right(store))
     if isinstance(e, EUnif):
-        hi = eval_expr(prog, store, e.bound)
-        w = Fraction(1, hi + 1)
-        return Dist.from_pairs([(k, w) for k in range(hi + 1)])
-    raise ImpError(f"cannot evaluate {e!r}")
+        bound = _analyse_expr(prog, e.bound)
+
+        def unif(store):
+            hi = bound(store)
+            w = Fraction(1, hi + 1)
+            return Dist.from_pairs([(k, w) for k in range(hi + 1)])
+
+        return unif
+
+    def fail(store):
+        raise ImpError(f"cannot evaluate {e!r}")
+
+    return fail
 
 
-def _nth_unused(store: Store, prog: Program, c: CNthUnused) -> Store:
-    i = store.get(c.i_loc)
-    k = store.get(c.tmp_loc)
-    used = {store.get((c.array, j)) for j in range(min(i, prog.arrays[c.array]))}
-    unused = (v for v in count() if v not in used)
-    return store.set(c.val_loc, next(islice(unused, k, None)))
+def _analyse_slot(prog: Program, name: str, index: Expr) -> Callable:
+    """The slot ``name[index]`` as a run from a store to its location."""
+    index, size = _analyse_expr(prog, index), prog.arrays[name]
+
+    def slot(store):
+        idx = index(store)
+        if not 0 <= idx < size:
+            raise ImpError(f"{name}[{idx}] out of bounds (size {size})")
+        return name, idx
+
+    return slot
+
+
+def eval_expr(prog: Program, store: Store, e: Expr):
+    """The value of ``e`` on ``store``: analysed, then applied."""
+    return _analyse_expr(prog, e)(store)
 
 
 def eval_cmd(
@@ -317,54 +341,102 @@ def eval_cmd(
     residual (divergence when the chain provably stalled, otherwise
     approximation).
     """
-    out, rdiv, rapp = _run(prog, c, store, max_iter, tol, support_cap)
-    return Dist.from_pairs(out.items(), residual_div=rdiv, residual_approx=rapp)
+    return analyse_cmd(prog, c, max_iter, tol, support_cap)(store)
 
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _run(prog: Program, c: Cmd, store: Store, max_iter, tol, support_cap):
-    """``c`` run from ``store`` as (store -> weight, divergent residual,
-    approximation residual), the weights merged but not ordered."""
+def analyse_cmd(
+    prog: Program,
+    c: Cmd,
+    max_iter: int = 64,
+    tol: float = 0.0,
+    support_cap: int = 100000,
+) -> Callable[[Store], Dist]:
+    """``c`` analysed once into a run ``store -> eval_cmd(prog, c, store,
+    ...)``.  A run keeps nothing from one store to the next."""
+    run = _analyse(prog, c, (max_iter, tol, support_cap))
+
+    def run_dist(store: Store) -> Dist:
+        out, den, rdiv, rapp = run(store)
+        pairs = [(s, _ONE if w == den else Fraction(w, den)) for s, w in out.items()]
+        return Dist.from_pairs(
+            pairs,
+            residual_div=Fraction(rdiv, den) if rdiv else _ZERO,
+            residual_approx=Fraction(rapp, den) if rapp else _ZERO,
+        )
+
+    return run_dist
+
+
+def _analyse(prog: Program, c: Cmd, limits: Tuple[int, float, int]) -> Callable:
+    """``c`` as a run from a store to ``(out, den, rdiv, rapp)``: ``out``
+    maps each final store to an int weight, and the weights and the
+    divergent and approximation residuals are all over ``den``."""
     if isinstance(c, CSkip):
-        return {store: _ONE}, _ZERO, _ZERO
+        return lambda store: ({store: 1}, 1, 0, 0)
     if isinstance(c, CAssign):
-        if isinstance(c.target, tuple):
-            name, idx_e = c.target
-            idx = eval_expr(prog, store, idx_e)
-            size = prog.arrays[name]
-            if not 0 <= idx < size:
-                raise ImpError(f"{name}[{idx}] out of bounds (size {size})")
-            key = (name, idx)
-        else:
+        expr = _analyse_expr(prog, c.expr)
+        if not isinstance(c.target, tuple):
             key = c.target
-        return {store.set(key, eval_expr(prog, store, c.expr)): _ONE}, _ZERO, _ZERO
-    if isinstance(c, CSample):
-        d = eval_expr(prog, store, c.dist)
-        if not isinstance(d, Dist):
+            return lambda store: ({store.set(key, expr(store)): 1}, 1, 0, 0)
+        slot = _analyse_slot(prog, *c.target)
+        # the slot is found before the value is evaluated
+        return lambda store: ({store.set(slot(store), expr(store)): 1}, 1, 0, 0)
+    if isinstance(c, CSample) and not isinstance(c.dist, EUnif):
+        dist = _analyse_expr(prog, c.dist)
+
+        def fail(store):
+            dist(store)
             raise ImpError("sampling from a non-distribution")
-        return {store.set(c.loc, v): w for v, w in d.points}, _ZERO, _ZERO
+
+        return fail
+    if isinstance(c, CSample):
+        loc, bound = c.loc, _analyse_expr(prog, c.dist.bound)
+
+        def sample(store):
+            hi = bound(store)
+            return {store.set(loc, v): 1 for v in range(hi + 1)}, hi + 1, 0, 0
+
+        return sample
     if isinstance(c, CSeq):
-        first = _run(prog, c.first, store, max_iter, tol, support_cap)
-        return _run_from(prog, c.second, *first, max_iter, tol, support_cap)
+        first, second = _analyse(prog, c.first, limits), _analyse(prog, c.second, limits)
+        return lambda store: _mix(second, *first(store))
     if isinstance(c, CIf):
-        branch = c.then if eval_expr(prog, store, c.guard) else c.other
-        return _run(prog, branch, store, max_iter, tol, support_cap)
+        guard = _analyse_expr(prog, c.guard)
+        then, other = _analyse(prog, c.then, limits), _analyse(prog, c.other, limits)
+        return lambda store: (then if guard(store) else other)(store)
     if isinstance(c, CWhile):
-        return _eval_while(prog, c, store, max_iter, tol, support_cap)
+        guard, body = _analyse_expr(prog, c.guard), _analyse(prog, c.body, limits)
+        return _analyse_while(guard, body, *limits)
     if isinstance(c, CNthUnused):
-        return {_nth_unused(store, prog, c): _ONE}, _ZERO, _ZERO
-    raise ImpError(f"cannot run {c!r}")
+        return _analyse_nth_unused(c)
+
+    def fail(store):
+        raise ImpError(f"cannot run {c!r}")
+
+    return fail
 
 
-def _run_from(prog, c: Cmd, stores: Dict, rdiv, rapp, max_iter, tol, support_cap):
-    """``c`` run from each of the weighted ``stores`` and mixed, on top
-    of the residuals ``rdiv`` and ``rapp``; the same triple as :func:`_run`."""
-    out: Dict[Store, Fraction] = {}
+def _mix(run: Callable, stores: Dict, den: int, rdiv: int, rapp: int):
+    """``run`` from each of the weighted ``stores`` and mixed, on top of
+    the residuals ``rdiv`` and ``rapp``, all over ``den``; the same
+    quadruple as a run, over a multiple of ``den``."""
+    out: Dict[Store, int] = {}
+    common = den
     for s, w in stores.items():
-        mid, mdiv, mapp = _run(prog, c, s, max_iter, tol, support_cap)
+        mid, mden, mdiv, mapp = run(s)
+        part = den * mden
+        if part != common:
+            grown = lcm(common, part)
+            if grown != common:
+                k = grown // common
+                for s2 in out:
+                    out[s2] *= k
+                rdiv, rapp, common = rdiv * k, rapp * k, grown
+            w *= common // part
         for s2, w2 in mid.items():
             w2 *= w
             out[s2] = out[s2] + w2 if s2 in out else w2
@@ -372,38 +444,64 @@ def _run_from(prog, c: Cmd, stores: Dict, rdiv, rapp, max_iter, tol, support_cap
             rdiv += w * mdiv
         if mapp:
             rapp += w * mapp
-    return out, rdiv, rapp
+    return out, common, rdiv, rapp
 
 
-def _eval_while(prog, c: CWhile, store: Store, max_iter, tol, support_cap):
-    done: Dict = {}
+def _analyse_while(guard: Callable, body: Callable, max_iter, tol, support_cap):
+    """The ascending iteration of the module docstring, as a run."""
 
-    def sweep(act: Dict) -> Dict:
-        live = {}
-        for s, w in act.items():
-            if eval_expr(prog, store=s, e=c.guard):
-                live[s] = w
-            else:
-                done[s] = done[s] + w if s in done else w
-        return live
-
-    active = sweep({store: _ONE})
-    done_div = body_approx = _ZERO
-    for _ in range(max_iter):
-        nxt, done_div, body_approx = _run_from(
-            prog, c.body, active, done_div, body_approx, max_iter, tol, support_cap
-        )
-        before, active = active, sweep(nxt)
-        if len(done) + len(active) > support_cap:
-            raise ImpError("store support blow-up in while loop")
-        if active == before:
-            # chain hit its fixed point: the live mass provably diverges
-            done_div += sum(active.values(), _ZERO)
+    def loop(store):
+        # ``done``, ``active`` and both residuals are over ``den``
+        done: Dict[Store, int] = {}
+        active: Dict[Store, int] = {}
+        if guard(store):
+            active[store] = 1
+        else:
+            done[store] = 1
+        den, rdiv, rapp = 1, 0, 0
+        for _ in range(max_iter):
+            before = active
+            nxt, grown, rdiv, rapp = _mix(body, before, den, rdiv, rapp)
+            k = grown // den
+            if k != 1:
+                for s in done:
+                    done[s] *= k
+            den = grown
             active = {}
-            break
-        if float(sum(active.values(), _ZERO)) <= tol:
-            break
-    return done, done_div, sum(active.values(), _ZERO) + body_approx
+            for s, w in nxt.items():
+                if guard(s):
+                    active[s] = w
+                else:
+                    done[s] = done[s] + w if s in done else w
+            if len(done) + len(active) > support_cap:
+                raise ImpError("store support blow-up in while loop")
+            if len(active) == len(before) and active == (
+                before if k == 1 else {s: w * k for s, w in before.items()}
+            ):
+                # chain hit its fixed point: the live mass provably diverges
+                rdiv += sum(active.values())
+                active = {}
+                break
+            if float(Fraction(sum(active.values()), den)) <= tol:
+                break
+        return done, den, rdiv, sum(active.values()) + rapp
+
+    return loop
+
+
+def _analyse_nth_unused(c: CNthUnused) -> Callable:
+    name, i_loc, tmp_loc, val_loc = c.array, c.i_loc, c.tmp_loc, c.val_loc
+
+    def scan(store):
+        items, prefix, k = store.items, max(store.get(i_loc), 0), store.get(tmp_loc)
+        if k < 0:
+            raise ImpError(f"nth_unused index {tmp_loc} = {k} is negative")
+        used = {items[j][1] for j in store.slots.arrays[name][:prefix]}
+        # the k-th value outside ``used`` is at most k + len(used)
+        val = [v for v in range(k + len(used) + 1) if v not in used][k]
+        return {store.set(val_loc, val): 1}, 1, 0, 0
+
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -743,4 +841,5 @@ def parse_store_pred(src: str):
     parser = _PredParser(src)
     e = parser.disj()
     parser.end()
-    return lambda s, t: 0.0 if eval_expr(None, _StorePair(s, t), e) else 1.0
+    holds = _analyse_expr(None, e)
+    return lambda s, t: 0.0 if holds(_StorePair(s, t)) else 1.0

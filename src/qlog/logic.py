@@ -173,7 +173,25 @@ def load_judgment_file(text: str, base_dir: Optional[str] = None):
             jobj = _field(obj, "derivation", dict, {}).get("judgment")
         if jobj is None:
             raise InputError("no judgment")
-        return qfile, judgment_from_json(jobj, qfile)
+        judgment = judgment_from_json(jobj, qfile)
+        # checked here, so that sampling an env never meets an unknown type
+        alphabets = qfile.alphabets if qfile else {}
+        for name, _, ty in judgment.delta.bindings:
+            for alpha in _alphabets_of(ty):
+                if alpha not in alphabets:
+                    raise ValueError(f"'delta' variable {name} has unknown type {alpha}")
+        return qfile, judgment
+
+
+def _alphabets_of(ty: T.Type):
+    """Each alphabet name ``ty`` mentions: ``TAlpha`` names and ``TProc`` labels."""
+    if isinstance(ty, T.TAlpha):
+        yield ty.name
+    elif isinstance(ty, T.TProc):
+        yield ty.label
+    for part in vars(ty).values():
+        if isinstance(part, T.Type):
+            yield from _alphabets_of(part)
 
 
 def load_source(obj: dict, base_dir: Optional[str] = None):

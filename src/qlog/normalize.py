@@ -125,12 +125,12 @@ def _normalize(t: T.Term, budget: List[int]) -> T.Term:
             raise NormalizeBudget("normalization budget exhausted")
         # normalize children first
         updates = {}
-        for fname, child in T._children(t):
+        for fname, child in T.children(t):
             nc = _normalize(child, budget)
             if nc is not child:
                 updates[fname] = nc
         if updates:
-            t = T._clone(t, **updates)
+            t = T.clone(t, **updates)
         stepped = _step(t)
         if stepped is None:
             return t
@@ -152,11 +152,11 @@ def _unfold_once(t: T.Term) -> T.Term:
     if isinstance(t, T.Fix):
         return T.substitute(t.body, t.name, t)
     updates = {
-        fname: _unfold_once(child) for fname, child in T._children(t)
+        fname: _unfold_once(child) for fname, child in T.children(t)
     }
     if not updates:
         return t
-    return T._clone(t, **updates)
+    return T.clone(t, **updates)
 
 
 def judgmental_equal(a: T.Term, b: T.Term, fix_unfolds: int = 0) -> bool:

@@ -638,8 +638,8 @@ def resolve_labels(term: T.Term, qfile: QlogFile) -> T.Term:
                 if hasattr(t, "span"):
                     lab.span = t.span
                 return lab
-        over = T._bound_over(t)
-        for fname, child in T._children(t):
+        over = T.bound_over(t)
+        for fname, child in T.children(t):
             setattr(t, fname, walk(child, bound.union(over.get(fname, ()))))
         return t
 

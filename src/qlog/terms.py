@@ -382,7 +382,8 @@ INFIX: Dict[str, Tuple[type, int, str]] = {
 }
 
 
-def _children(t: Term) -> List[Tuple[str, Term]]:
+def children(t: Term) -> List[Tuple[str, Term]]:
+    """Each (field name, subterm) of ``t``, in field order."""
     out = []
     for f in fields(t):
         v = getattr(t, f.name)
@@ -396,7 +397,7 @@ def _children(t: Term) -> List[Tuple[str, Term]]:
 # ---------------------------------------------------------------------------
 
 
-def _bound_over(t: Term) -> Dict[str, Tuple[str, ...]]:
+def bound_over(t: Term) -> Dict[str, Tuple[str, ...]]:
     """Body field -> the names t binds over it (see SCOPES)."""
     return {
         body: tuple(getattr(t, b) for b in binders)
@@ -407,9 +408,9 @@ def _bound_over(t: Term) -> Dict[str, Tuple[str, ...]]:
 def free_vars(t: Term) -> set:
     if isinstance(t, Var):
         return {t.name}
-    bound = _bound_over(t)
+    bound = bound_over(t)
     out: set = set()
-    for fname, c in _children(t):
+    for fname, c in children(t):
         out |= free_vars(c).difference(bound.get(fname, ()))
     return out
 
@@ -422,7 +423,8 @@ def fresh_name(base: str) -> str:
     return f"_{base}{next(_fresh_counter)}"
 
 
-def _clone(t: Term, **updates) -> Term:
+def clone(t: Term, **updates) -> Term:
+    """``t`` with the given fields replaced, keeping its source span."""
     kwargs = {}
     for f in fields(t):
         kwargs[f.name] = updates.get(f.name, getattr(t, f.name))
@@ -444,7 +446,7 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
     bodies = {body for _, body in scopes}
     updates = {
         fname: substitute(c, name, repl)
-        for fname, c in _children(t)
+        for fname, c in children(t)
         if fname not in bodies
     }
     fv_repl = None
@@ -460,7 +462,7 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
                 updates[b] = fresh_name(old)
                 body = substitute(body, old, Var(updates[b]))
         updates[body_field] = substitute(body, name, repl)
-    return _clone(t, **updates) if updates else t
+    return clone(t, **updates) if updates else t
 
 
 # annotations the typechecker derives (rather than the user writes) are
@@ -480,7 +482,7 @@ def alpha_key(t: Term, env: Optional[Dict[str, int]] = None, depth: int = 0):
         if t.name in env:
             return ("bvar", env[t.name])
         return ("fvar", t.name)
-    bound = _bound_over(t)
+    bound = bound_over(t)
     skip = _DERIVED.union(*(binders for binders, _ in SCOPES.get(type(t), ())))
     parts: list = [type(t).__name__]
     ann: list = []

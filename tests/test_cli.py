@@ -395,6 +395,8 @@ SKIP_IMP = corpus("imp", "skip.imp")
          "stores.json", "undeclared location zz"),
         ("locs l\nskip\n", "tt", '{"pairs": [[1, {"l": 0}]]}',
          "stores.json", "a store is a JSON object"),
+        ("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n", "tt",
+         '{"pairs": [[{"t": -1}, {}]]}', "nth_unused index t = -1", "is negative"),
     ],
 )
 def test_hoare_malformed_input_is_a_usage_error(
@@ -605,6 +607,10 @@ def test_malformed_proof_file_is_a_usage_error(tmp_path, capsys, fname, edit, me
         ({"hyps": []}, "missing 'goal'"),
         (5, "not an object"),
         ([], "not an object"),
+        ({"delta": [["x", "Nat"], ["p", "Dist (Nat & Foo)"]], "goal": "tt"},
+         "'delta' variable p has unknown type Foo"),
+        ({"delta": [["p", "Proc[1/2] Foo"]], "goal": "tt"},
+         "'delta' variable p has unknown type Foo"),
     ],
 )
 def test_malformed_judgment_is_a_usage_error(tmp_path, capsys, judgment, message):
@@ -613,6 +619,16 @@ def test_malformed_judgment_is_a_usage_error(tmp_path, capsys, judgment, message
     code, out = run_cli("judge", str(path))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"{path}: judgment: {message}\n"
+
+
+def test_judge_rejects_an_unknown_delta_type_before_sampling(tmp_path, capsys):
+    path = _proof_file(
+        tmp_path, "01_true.json", lambda n: n["judgment"].update(delta=[["q", "Foo"]])
+    )
+    code, out = run_cli("judge", str(path))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"{path}: judgment: 'delta' variable q has unknown type Foo\n"
 
 
 def test_judgment_file_derivation_must_be_an_object(tmp_path, capsys):

@@ -192,7 +192,6 @@ def test_prp_reports():
             assert row["per_loop_value"] <= row["per_loop_credit"] + 1e-9
 
 
-
 @pytest.mark.parametrize(
     "length, n, digest",
     [
@@ -205,6 +204,7 @@ def test_prp_report_bytes_are_pinned(length, n, digest):
     """Every float of the report, its rows and verdicts, byte for byte."""
     text = json.dumps(prp_prf_check(length, n).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 def test_triple_sequencing_composition():
     """The value of {pre} c1;c2 ~ c1';c2' {post} is below the truncated
@@ -367,8 +367,10 @@ def _ref_eval(prog, c, store, max_iter=64, tol=0.0, support_cap=100000):
     )
 
 
-def _assert_same_run(prog, c, store, **kw):
-    got = eval_cmd(prog, c, store, **kw)
+def _assert_same_run(prog, c, store, run=None, **kw):
+    """``eval_cmd``, or the analysed ``run`` if given, against the
+    stepwise reference on ``store``."""
+    got = (run or (lambda s: eval_cmd(prog, c, s, **kw)))(store)
     ref = _ref_eval(prog, c, store, **kw)
     assert [(repr(s), w) for s, w in got.points] == [
         (repr(s), w) for s, w in ref.points
@@ -415,6 +417,57 @@ def test_stalled_and_cut_off_loops_match_stepwise_canonical_form():
     )
     out = _assert_same_run(p, p.body, p.initial_store(), max_iter=3)
     assert out.residual_approx > 0 and out.residual_div == 0
+
+
+def test_one_analysed_run_serves_every_store():
+    """One run per command, analysed once, gives on each store in turn
+    what the stepwise reference gives on it; after an out-of-bounds
+    index or a support blow-up it raises the same error again and stays
+    correct, so it keeps nothing from one store to the next."""
+    from qlog.hoare import _phi_stores, rf_loop, ri_loop
+    from qlog.imp import CNthUnused, EBin, ENum, ERead, analyse_cmd
+
+    length, n = 2, 3
+    ri, rf = make_programs(length, n, length)
+    phi = [s for q in range(length) for s in _phi_stores(ri, length, n, q)]
+    scan = CNthUnused("arr", "i", "tmp", "val")
+    scans = [
+        ri.initial_store().set(("arr", 0), a).set(("arr", 1), b).set("i", i).set("tmp", k)
+        for a in range(n) for b in range(n) for i in range(length)
+        for k in range(n - len(set((a, b)[:i])))
+    ]
+    loop = CWhile(EBin("<=", ERead("i"), ENum(1)), ri_loop(n))
+    runs = {
+        "ri": (ri, ri_loop(n), analyse_cmd(ri, ri_loop(n)), {}),
+        "rf": (rf, rf_loop(n), analyse_cmd(rf, rf_loop(n)), {}),
+        "scan": (ri, scan, analyse_cmd(ri, scan), {}),
+        "loop": (ri, loop, analyse_cmd(ri, loop, support_cap=4), {"support_cap": 4}),
+    }
+
+    def check_all():
+        for s in phi:
+            for name in ("ri", "rf"):
+                prog, c, run, kw = runs[name]
+                _assert_same_run(prog, c, s, run=run, **kw)
+        prog, c, run, kw = runs["scan"]
+        for s in scans:
+            _assert_same_run(prog, c, s, run=run, **kw)
+        # round two of the loop leaves six stores from i = 0: over the cap
+        prog, c, run, kw = runs["loop"]
+        for s in phi:
+            if s.get("i") == 0:
+                with pytest.raises(ImpError, match="^store support blow-up in while loop$"):
+                    run(s)
+            else:
+                _assert_same_run(prog, c, s, run=run, **kw)
+
+    past_end = phi[-1].set("i", length)
+    for _ in range(2):
+        check_all()
+        for name in ("ri", "rf"):
+            with pytest.raises(ImpError, match=r"^arr\[2\] out of bounds \(size 2\)$"):
+                runs[name][2](past_end)
+    check_all()
 
 
 def test_random_programs_match_stepwise_canonical_form():

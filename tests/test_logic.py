@@ -59,7 +59,7 @@ def _term_nodes(terms):
         t = todo.pop()
         if id(t) not in nodes:
             nodes[id(t)] = t
-            todo.extend(c for _, c in T._children(t))
+            todo.extend(c for _, c in T.children(t))
     return nodes
 
 

@@ -54,7 +54,7 @@ def ref_free_vars(t):
             | ref_free_vars(t.scrut)
         )
     out = set()
-    for _, c in T._children(t):
+    for _, c in T.children(t):
         out |= ref_free_vars(c)
     return out
 
@@ -81,20 +81,20 @@ def ref_substitute(t, name, repl):
         if t.name == name:
             return t
         b, body = avoid(t.name, t.body)
-        return T._clone(t, name=b, body=sub(body))
+        return T.clone(t, name=b, body=sub(body))
     if isinstance(t, T.LetSample):
         bound = sub(t.bound)
         if t.name == name:
-            return T._clone(t, bound=bound)
+            return T.clone(t, bound=bound)
         b, body = avoid(t.name, t.body)
-        return T._clone(t, name=b, bound=bound, body=sub(body))
+        return T.clone(t, name=b, bound=bound, body=sub(body))
     if isinstance(t, T.LetTensor):
         bound = sub(t.bound)
         if name in (t.left_name, t.right_name):
-            return T._clone(t, bound=bound)
+            return T.clone(t, bound=bound)
         ln, body = avoid(t.left_name, t.body)
         rn, body = avoid(t.right_name, body)
-        return T._clone(t, left_name=ln, right_name=rn, bound=bound, body=sub(body))
+        return T.clone(t, left_name=ln, right_name=rn, bound=bound, body=sub(body))
     if isinstance(t, T.Case):
         scrut = sub(t.scrut)
         lb = t.left_body
@@ -106,7 +106,7 @@ def ref_substitute(t, name, repl):
         if name != rn:
             rn, rb = avoid(rn, rb)
             rb = sub(rb)
-        return T._clone(
+        return T.clone(
             t, scrut=scrut, left_name=ln, left_body=lb, right_name=rn, right_body=rb
         )
     if isinstance(t, T.NatRec):
@@ -118,13 +118,13 @@ def ref_substitute(t, name, repl):
             pn, sc = avoid(pn, sc)
             xn, sc = avoid(xn, sc)
             sc = sub(sc)
-        return T._clone(
+        return T.clone(
             t, zero_case=z, prev_name=pn, index_name=xn, succ_case=sc, scrut=n
         )
-    updates = {fname: sub(c) for fname, c in T._children(t)}
+    updates = {fname: sub(c) for fname, c in T.children(t)}
     if not updates:
         return t
-    return T._clone(t, **updates)
+    return T.clone(t, **updates)
 
 
 def ref_alpha_key(t, env=None, depth=0):
@@ -195,7 +195,7 @@ def ref_alpha_key(t, env=None, depth=0):
 
 def _subterms(t):
     yield t
-    for _, c in T._children(t):
+    for _, c in T.children(t):
         yield from _subterms(c)
 
 

@@ -208,10 +208,6 @@ def test_td_calls_no_sort():
 # retired; add none
 PRIVATE_IMPORTS_ALLOWED = {
     ("imp", "measures", "_sort_token"),
-    ("normalize", "terms", "_children"),
-    ("normalize", "terms", "_clone"),
-    ("parser", "terms", "_bound_over"),
-    ("parser", "terms", "_children"),
     ("processes", "transport", "_scale_masses"),
     ("processes", "transport", "_simplex"),
 }
