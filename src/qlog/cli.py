@@ -76,11 +76,28 @@ def _load_qlog(path: str):
         return parse_file(text)
 
 
+def _enum_spec(path: str) -> EnumSpec:
+    """The enumeration file at ``path``, checked by key (docs/grammar.md)."""
+    try:
+        entries = json.loads(_read(path))
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise InputError(f"{path}: not JSON: {e}") from None
+    if not isinstance(entries, dict):
+        raise InputError(f"{path}: an enumeration file is a JSON object")
+    for key, e in entries.items():
+        e = e if isinstance(e, dict) else {}
+        bound, terms = e.get("bound"), e.get("terms")
+        if not (e.get("mode") == "finite" and type(bound) is int and bound >= 0  # no bool
+                or e.get("mode") == "samples" and isinstance(terms, list)
+                and all(isinstance(t, str) for t in terms)):
+            raise InputError(f'{path}: {json.dumps(key)}: expected {{"mode": "finite", '
+                             '"bound": <integer >= 0>} or {"mode": "samples", '
+                             '"terms": [<string>, ...]}')
+    return EnumSpec(entries)
+
+
 def _evaluator(args, alphabets) -> Evaluator:
-    enums = EnumSpec()
-    if args.enums:
-        with open(args.enums) as fh:
-            enums = EnumSpec(json.load(fh))
+    enums = _enum_spec(args.enums) if args.enums else EnumSpec()
     cfg = EvalConfig(fuel=args.fuel, tol=args.tol, enums=enums)
     return Evaluator(Checker(alphabets), cfg)
 
@@ -128,8 +145,7 @@ def _eval_defs(args):
 def cmd_eval(args) -> int:
     _, _, values = _eval_defs(args)
     if args.def_name not in values:
-        print(f"no definition named {args.def_name}", file=sys.stderr)
-        return 2
+        return _usage_error(f"no definition named {args.def_name}")
     out = values[args.def_name]
     payload = {
         "def": args.def_name,
@@ -143,19 +159,16 @@ def cmd_eval(args) -> int:
 
 def cmd_distance(args) -> int:
     if args.bisim and not args.proc:
-        print("--bisim needs --proc", file=sys.stderr)
-        return 2
+        return _usage_error("--bisim needs --proc")
     qfile, ev, values = _eval_defs(args)
     for nm in (args.left, args.right):
         if nm not in values:
-            print(f"no definition named {nm}", file=sys.stderr)
-            return 2
+            return _usage_error(f"no definition named {nm}")
     lv, rv = values[args.left], values[args.right]
     ty = qfile.defs[args.left].declared_type
     if args.proc:
         if not isinstance(ty, TProc):
-            print("--proc needs process-typed definitions", file=sys.stderr)
-            return 2
+            return _usage_error("--proc needs process-typed definitions")
         distance = bisimilarity_distance if args.bisim else behavioral_distance
         d = distance(ev, lv.value, rv.value, ty.c, args.tol)
     else:
@@ -263,8 +276,7 @@ def cmd_casestudy(args) -> int:
             )
         rep = prp_prf_check(args.l, args.n)
         return _report(args, rep.to_json(), "ok" if rep.ok else "error")
-    print(f"unknown case study {name}", file=sys.stderr)
-    return 2
+    return _usage_error(f"unknown case study {name}")
 
 
 # -- hoare triples on .imp programs ------------------------------------------
@@ -275,11 +287,12 @@ def _store_from_json(prog, obj: dict) -> Store:
         raise ValueError(f"a store is a JSON object, got {obj!r}")
     s = prog.initial_store()
     for k, v in obj.items():
-        if isinstance(v, list):
-            for i, x in enumerate(v):
-                s = s.set((k, i), int(x))
-        else:
-            s = s.set(k, int(v))
+        cells = ([(f"{k}[{i}]", (k, i), x) for i, x in enumerate(v)]
+                 if isinstance(v, list) else [(k, k, v)])
+        for name, key, x in cells:
+            if type(x) is not int or x < 0:  # a bool, float, string, ...
+                raise ValueError(f"{name} must be an integer >= 0, got {json.dumps(x)}")
+            s = s.set(key, x)
     return s
 
 
@@ -447,8 +460,7 @@ def main(argv=None) -> int:
     # OSError: a missing or unreadable file, or a directory given as one
     except (InputError, QlogSyntaxError, TypeCheckError, EvalError, ProcessError,
             ImpError, OSError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
+        return _usage_error(str(e))
 
 
 if __name__ == "__main__":

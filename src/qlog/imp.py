@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .measures import Dist, _sort_token
+from .measures import Dist, key_token
 
 
 class ImpError(ValueError):
@@ -76,7 +76,7 @@ class ImpError(ValueError):
 class Layout(dict):
     """Where each location of a store sits: a dict from location to its
     index in ``items``.  It also carries each location's token head,
-    ``"(" + _sort_token(location) + ","``, and for each array the
+    ``"(" + key_token(location) + ","``, and for each array the
     indices of its slots in slot order.  Built once from the locations
     of a store and shared by every store :meth:`Store.set` derives."""
 
@@ -87,7 +87,7 @@ class Layout(dict):
         if len(self) < len(keys):
             dup = next(k for i, k in enumerate(keys) if self[k] != i)
             raise ImpError(f"duplicate location {dup}")
-        self.heads = tuple("(" + _sort_token(k) + "," for k in keys)
+        self.heads = tuple("(" + key_token(k) + "," for k in keys)
         arrays: Dict[str, List[Tuple[int, int]]] = {}
         for i, k in enumerate(keys):
             if isinstance(k, tuple) and len(k) > 1:
@@ -151,9 +151,9 @@ class Store:
         return ("store", self.items)
 
     def sort_token(self) -> str:
-        """``_sort_token(key_of(self))``, from the layout's heads."""
+        """``key_token(key_of(self))``, from the layout's heads."""
         heads = self.slots.heads
-        tokens = [h + _sort_token(v) + ")" for h, (_, v) in zip(heads, self.items)]
+        tokens = [h + key_token(v) + ")" for h, (_, v) in zip(heads, self.items)]
         return "('store',(" + ",".join(tokens) + "))"
 
     def __repr__(self):

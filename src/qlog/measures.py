@@ -26,7 +26,7 @@ metric.
 Support order.  :meth:`Dist.from_pairs` is the one constructor: it
 merges points with equal :func:`key_of` keys, checks every weight and
 both residuals for sign and the total for mass 1, and sorts the merged
-points by the string ``_sort_token(key_of(v))`` of their first-seen
+points by the string ``key_token(key_of(v))`` of their first-seen
 value, ties kept in first-seen order.  The mass check is one int sum
 over the running lcm of the denominators, ``_int_sum``, which
 :attr:`Dist.mass` shares.  One point of weight 1 with zero residuals,
@@ -42,7 +42,7 @@ structurally: a tuple is ``"("`` + its components' tokens joined by
 ``","`` + ``")"``, a non-bool int is zero-padded to 24 places,
 anything else is its ``repr``.  A value with a ``sort_token()``
 method hands over that token itself: :class:`qlog.imp.Store` builds
-it from its layout's per-location heads and ``_sort_token`` of each
+it from its layout's per-location heads and ``key_token`` of each
 value.  Floats sort by their ``repr`` (``0.5`` before ``10.0`` before
 ``1e-05`` before ``2.0``), not numerically.  No float depends on that
 order: a mean or cost over a support is :func:`expectation`, the exact
@@ -115,24 +115,24 @@ def key_of(v: Any) -> Any:
     return ("id", id(v))
 
 
-def _sort_token(key: Any) -> str:
-    # zero-pad ints so support order is numeric, not lexicographic
+def key_token(key: Any) -> str:
+    """The sort string of a :func:`key_of` key; ints zero-padded, so numeric."""
     t = type(key)
     if t is tuple:
-        return "(" + ",".join([_sort_token(k) for k in key]) + ")"
+        return "(" + ",".join([key_token(k) for k in key]) + ")"
     if t is int:
         return f"{key:024d}"
     if t is str:
         return repr(key)
     if isinstance(key, tuple):
-        return "(" + ",".join(_sort_token(k) for k in key) + ")"
+        return "(" + ",".join(key_token(k) for k in key) + ")"
     if isinstance(key, int) and not isinstance(key, bool):
         return f"{key:024d}"
     return repr(key)
 
 
 def _order_token(v: Any) -> str:
-    """``_sort_token(key_of(v))``, built from ``v`` in one recursion."""
+    """``key_token(key_of(v))``, built from ``v`` in one recursion."""
     t = type(v)
     if t is float:
         return "('float'," + repr(v) + ")"
@@ -145,7 +145,7 @@ def _order_token(v: Any) -> str:
     m = getattr(v, "sort_token", None)
     if m is not None:
         return m()
-    return _sort_token(key_of(v))
+    return key_token(key_of(v))
 
 
 def _sort_support(points: List[Any]) -> None:

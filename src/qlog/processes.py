@@ -11,17 +11,18 @@ key and cyclic (coinductive) processes are finite graphs here.
 
 from D = 0 towards the distance in the final coalgebra, solving one
 exact transport LP per distinct equal-label pair per round (a label
-mismatch is 1 without one).  Each pair's masses are scaled to ints
-once; each round puts every D on one power-of-two scale, so the simplex
-pivots on int costs.  The costs of live pairs carry a 2^-50 tie-break
-that stays in the optimum, so the value is not a lower bound: it lies
-within the radius of the distance on either side.  The radius
-multiplies, per round, the worst contraction factor ``c * q`` where q
-is the optimal coupling's mass on distinct, unsaturated pairs: pairs
-with D = 1 can no longer move, identical nodes never do.  For discount
-c < 1 this is at most c (Banach); at c = 1 convergence certification
-relies on the recursion mass actually contracting, and the iteration
-reports failure when its round budget runs out.
+mismatch is 1 without one).  Each pair's step weights, all positive,
+are read once as ints over their lcm; each round puts every D on one
+power-of-two scale, so ``transport.simplex`` pivots on int costs.  The
+costs of live pairs carry a 2^-50 tie-break that stays in the optimum,
+so the value is not a lower bound: it lies within the radius of the
+distance on either side.  The radius multiplies, per round, the worst
+contraction factor ``c * q`` where q is the optimal coupling's mass on
+distinct, unsaturated pairs: pairs with D = 1 can no longer move,
+identical nodes never do.  For discount c < 1 this is at most c
+(Banach); at c = 1 convergence certification relies on the recursion
+mass actually contracting, and the iteration reports failure when its
+round budget runs out.
 
 ``bisimilarity_distance`` finds the same fixed point exactly for c < 1,
 by policy iteration over couplings (Tang and van Breugel, CONCUR 2016)
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import Any, List, Tuple
 
 from .grades import Grade
-from .transport import _scale_masses, _simplex, solve_transport
+from .transport import simplex, solve_transport
 from .values import Approx, VProc, VRef, deref
 
 
@@ -129,9 +130,9 @@ def behavioral_distance(
         return Approx(0.0, 0.0)
     index = {(id(x), id(y)): k for k, (x, y) in enumerate(pairs)}
     distinct = [x is not y for x, y in pairs]
-    # The process graph is fixed: per distinct pair its scaled masses and
-    # successor pair indices, built once.  A label mismatch is at distance
-    # 1 whatever its transport costs, so it gets no LP (None).
+    # The process graph is fixed: per distinct pair its int masses over
+    # their lcm ds and successor pair indices, built once.  A label mismatch
+    # is at distance 1 whatever its transport costs, so it gets no LP (None).
     steps = []
     for k, (x, y) in enumerate(pairs):
         if x is y:
@@ -140,8 +141,10 @@ def behavioral_distance(
             steps.append((k, None))
             continue
         sx, sy = _step_nodes(x), _step_nodes(y)
-        rows, cols, sa, sb, ds = _scale_masses([w for _, w in sx], [w for _, w in sy])
-        succ = [[index[(id(sx[r][0]), id(sy[s][0]))] for s in cols] for r in rows]
+        ds = math.lcm(*[w.denominator for _, w in sx + sy])
+        sa = [w.numerator * (ds // w.denominator) for _, w in sx]
+        sb = [w.numerator * (ds // w.denominator) for _, w in sy]
+        succ = [[index[(id(u), id(v))] for v, _ in sy] for u, _ in sx]
         steps.append((k, (sa, sb, ds, succ)))
     D = [0.0] * len(pairs)
     radius = 1.0
@@ -174,7 +177,7 @@ def behavioral_distance(
                 fresh[k] = 1.0
                 continue
             sa, sb, ds, succ = lp
-            total, flow = _simplex(sa, sb, [[cost[t] for t in row] for row in succ])
+            total, flow = simplex(sa, sb, [[cost[t] for t in row] for row in succ])
             # int true division rounds correctly: float(Fraction(total, ds << e))
             value = min(cf * (total / (ds << e)), 1.0)
             fresh[k] = value

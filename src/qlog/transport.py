@@ -5,19 +5,20 @@ flow x >= 0 with row sums a and column sums b minimising sum x_ij c_ij.
 This is the optimisation underlying the Kantorovich distance between
 finite distributions; the optimal flow is the optimal coupling.
 
-Two independent routes are provided:
+Two layers, each hiding one input format, and one oracle:
 
-* :func:`solve_transport` -- transportation simplex on the bipartite
-  support graph.  Masses and costs are scaled once to integers over
-  their common denominators, so every pivot is exact rational
-  arithmetic carried out on Python ints; the optimum and the flow are
-  divided back to ``Fraction``s at the end.  Dantzig's entering rule
-  switches to Bland's anti-cycling rule after a run of degenerate
-  pivots, so it terminates and the optimum is exact.  The basic flow
-  doubles as the coupling witness.  It is :func:`_scale_masses`, cost
-  scaling and the one pivot loop :func:`_simplex`; a caller that solves
-  many LPs over the same masses (``processes.behavioral_distance``)
-  scales the masses once and calls the two steps itself.
+* :func:`solve_transport` -- rational masses and costs.  It validates
+  them, drops zero rows and columns, scales masses and costs to ints
+  over their common denominators, calls :func:`simplex` and divides
+  the optimum and the flow back to ``Fraction``s.  Scaling by positive
+  constants keeps every comparison, hence every pivot.
+
+* :func:`simplex` -- the one pivot loop, on positive int masses and
+  int costs.  Dantzig's entering rule switches to Bland's anti-cycling
+  rule after a run of degenerate pivots, so it terminates and the
+  optimum is exact.  Its final basis doubles as the coupling witness.
+  ``processes.behavioral_distance`` calls it directly: its masses are
+  ints over one lcm per pair, and its costs one int scale per round.
 
 * :func:`brute_force_transport` -- enumerates every basic feasible
   solution (spanning trees of the complete bipartite graph) and takes
@@ -38,7 +39,7 @@ class TransportError(ValueError):
     pass
 
 
-def _validate(supplies, demands, costs=None) -> None:
+def _validate(supplies, demands, costs) -> None:
     if not supplies or not demands:
         raise TransportError("empty transportation instance")
     if any(a < 0 for a in supplies) or any(b < 0 for b in demands):
@@ -47,9 +48,7 @@ def _validate(supplies, demands, costs=None) -> None:
         raise TransportError(
             f"unbalanced instance: supply {sum(supplies)} != demand {sum(demands)}"
         )
-    if costs is not None and (
-        len(costs) != len(supplies) or any(len(row) != len(demands) for row in costs)
-    ):
+    if len(costs) != len(supplies) or any(len(row) != len(demands) for row in costs):
         raise TransportError("cost matrix shape mismatch")
 
 
@@ -61,34 +60,6 @@ def _ratios(values) -> List[Tuple[int, int]]:
         return [Fraction(v).as_integer_ratio() for v in values]
 
 
-def _scale_masses(
-    supplies: Sequence[Fraction], demands: Sequence[Fraction]
-) -> Tuple[List[int], List[int], List[int], List[int], int]:
-    """Validated masses as ints over their common denominator ``ds``.
-
-    Returns ``(rows, cols, a, b, ds)``: the indices of the positive
-    supplies and demands (zero rows and columns carry no mass and are
-    dropped) and those masses times ``ds``.
-    """
-    sup = _ratios(supplies)
-    dem = _ratios(demands)
-    ds = lcm(*[d for _, d in sup], *[d for _, d in dem])
-    a_all = [p * (ds // d) for p, d in sup]
-    b_all = [p * (ds // d) for p, d in dem]
-    # _validate's mass checks on the scaled masses; _validate words the error
-    if (
-        not a_all
-        or not b_all
-        or min(a_all) < 0
-        or min(b_all) < 0
-        or sum(a_all) != sum(b_all)
-    ):
-        _validate([Fraction(p, d) for p, d in sup], [Fraction(p, d) for p, d in dem])
-    rows = [i for i, s in enumerate(a_all) if s > 0]
-    cols = [j for j, s in enumerate(b_all) if s > 0]
-    return rows, cols, [a_all[i] for i in rows], [b_all[j] for j in cols], ds
-
-
 def solve_transport(
     supplies: Sequence[Fraction],
     demands: Sequence[Fraction],
@@ -97,38 +68,50 @@ def solve_transport(
     """Exact minimum-cost transportation plan.
 
     Returns ``(optimal_cost, flow)`` where ``flow`` maps basic cells
-    (i, j) to their (possibly zero) shipped amount.  Rows or columns
-    with zero supply/demand are allowed and receive no flow.
+    (i, j) to their positive shipped amount, in :func:`simplex`'s
+    basis order.  Rows or columns with zero supply/demand are allowed
+    and receive no flow.
 
-    Masses are scaled by their common denominator ``ds`` and costs by
-    theirs, ``dc``, so every pivot runs on Python ints; the results are
-    divided back once at the end.  Scaling by positive constants keeps
-    every comparison, hence every pivot, of the rational simplex.
+    Masses are scaled by their common denominator ``ds`` and the kept
+    costs by theirs, ``dc``; the results are divided back once.
     """
-    rows, cols, a, b, ds = _scale_masses(supplies, demands)
+    sup, dem = _ratios(supplies), _ratios(demands)
+    ds = lcm(*[d for _, d in sup], *[d for _, d in dem])
+    a = [p * (ds // d) for p, d in sup]
+    b = [p * (ds // d) for p, d in dem]
     cst = [_ratios(row) for row in costs]
-    if len(cst) != len(supplies) or any(len(row) != len(demands) for row in cst):
-        raise TransportError("cost matrix shape mismatch")
+    # _validate's checks on the scaled ints; _validate words the error
+    if (not a or not b or min(a) < 0 or min(b) < 0 or sum(a) != sum(b)
+            or len(cst) != len(a) or any(len(row) != len(b) for row in cst)):
+        _validate([Fraction(p, d) for p, d in sup], [Fraction(p, d) for p, d in dem], cst)
+    rows = [i for i, s in enumerate(a) if s > 0]
+    cols = [j for j, s in enumerate(b) if s > 0]
     if not rows:
         return Fraction(0), {}
     kept = [[cst[i][j] for j in cols] for i in rows]
     dc = lcm(*{d for row in kept for _, d in row})
-    total, x = _simplex(a, b, [[p * (dc // d) for p, d in row] for row in kept])
+    total, x = simplex(
+        [a[i] for i in rows],
+        [b[j] for j in cols],
+        [[p * (dc // d) for p, d in row] for row in kept],
+    )
     flow: Flow = {
         (rows[i], cols[j]): Fraction(q, ds) for (i, j), q in x.items() if q > 0
     }
     return Fraction(total, ds * dc), flow
 
 
-def _simplex(
+def simplex(
     a: List[int], b: List[int], c: List[List[int]]
 ) -> Tuple[int, Dict[Tuple[int, int], int]]:
-    """The transportation simplex on positive int masses and int costs.
+    """The transportation simplex: the one pivot loop of every LP.
 
-    Returns the optimum and the final basic flow: its m + n - 1 cells
-    (zeros included) in insertion order.  Multiplying every cost by one
-    positive constant multiplies the optimum by it and keeps every
-    pivot, so the flow is the same.
+    Takes positive int supplies ``a`` and demands ``b`` with equal
+    sums, and an m x n matrix ``c`` of int costs; nothing is checked.
+    Returns the int optimum and the final basis: its m + n - 1 cells
+    (i, j), zeros included, mapped to their int flow, in insertion
+    order.  Multiplying every cost by one positive constant multiplies
+    the optimum by it and keeps every pivot, so the basis is the same.
     """
     m, n = len(a), len(b)
 

@@ -396,7 +396,21 @@ SKIP_IMP = corpus("imp", "skip.imp")
         ("locs l\nskip\n", "tt", '{"pairs": [[1, {"l": 0}]]}',
          "stores.json", "a store is a JSON object"),
         ("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n", "tt",
-         '{"pairs": [[{"t": -1}, {}]]}', "nth_unused index t = -1", "is negative"),
+         '{"pairs": [[{"t": -1}, {}]]}', "stores.json", "t must be an integer >= 0, got -1"),
+        ("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n", "tt",
+         '{"pairs": [[{"i": -1, "t": 0}, {}]]}', "stores.json",
+         "i must be an integer >= 0, got -1"),
+        ("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n", "tt",
+         '{"pairs": [[{"i": 1.7, "t": true}, {}]]}', "stores.json",
+         "i must be an integer >= 0, got 1.7"),
+        ("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n", "tt",
+         '{"pairs": [[{"t": true}, {}]]}', "stores.json", "t must be an integer >= 0, got true"),
+        ("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n", "tt",
+         '{"pairs": [[{"a": [0, -2]}, {}]]}', "stores.json",
+         "a[1] must be an integer >= 0, got -2"),
+        ("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n", "tt",
+         '{"pairs": [[{"a": ["0"]}, {}]]}', "stores.json",
+         'a[0] must be an integer >= 0, got "0"'),
     ],
 )
 def test_hoare_malformed_input_is_a_usage_error(
@@ -413,6 +427,56 @@ def test_hoare_malformed_input_is_a_usage_error(
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert where in err and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_hoare_stores_take_naturals_in_locations_and_arrays(tmp_path):
+    prog = tmp_path / "scan.imp"
+    prog.write_text("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n")
+    (tmp_path / "stores.json").write_text(
+        '{"pairs": [[{"i": 1, "t": 0, "a": [0, 5]}, {"i": 1, "t": 0, "a": [0, 5]}]]}'
+    )
+    code, out = run_cli(
+        "hoare", "--left", str(prog), "--right", str(prog), "--pre", "tt",
+        "--post", "s.v == t.v", "--stores", str(tmp_path / "stores.json"),
+        "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["value"] == 0.0
+
+
+ENUMS_RULE = (
+    'expected {"mode": "finite", "bound": <integer >= 0>} or '
+    '{"mode": "samples", "terms": [<string>, ...]}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"Nat": 3}', '"Nat": ' + ENUMS_RULE),
+        ("[1, 2]", "an enumeration file is a JSON object"),
+        ('{"Nat": {"mode": "finite", "bound": "x"}}', '"Nat": ' + ENUMS_RULE),
+        ('{"Nat": {"mode": "finite", "bound": -1}}', '"Nat": ' + ENUMS_RULE),
+        ('{"Nat": {"mode": "finite", "bound": true}}', '"Nat": ' + ENUMS_RULE),
+        ('{"Nat": {"mode": "finite"}}', '"Nat": ' + ENUMS_RULE),
+        ('{"Nat": {"mode": "all", "bound": 3}}', '"Nat": ' + ENUMS_RULE),
+        ('{"Prop": {"mode": "samples", "terms": "tt"}}', '"Prop": ' + ENUMS_RULE),
+        ('{"Prop": {"mode": "samples", "terms": [1]}}', '"Prop": ' + ENUMS_RULE),
+        ("{", "not JSON: Expecting property name enclosed in double quotes"),
+    ],
+)
+@pytest.mark.parametrize("command", ["judge", "eval"])
+def test_malformed_enums_file_is_a_usage_error(tmp_path, capsys, command, text, message):
+    enums = tmp_path / "enums.json"
+    enums.write_text(text)
+    if command == "judge":
+        argv = ["judge", corpus("derivs", "26_forall_intro.json"), "--envs", "2"]
+    else:
+        argv = ["eval", corpus("geo.qlog"), "--def", "geo"]
+    code, out = run_cli(*argv, "--enums", str(enums))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"{enums}: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
 
 

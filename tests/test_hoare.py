@@ -29,7 +29,7 @@ from qlog.imp import (
     parse_store_pred,
 )
 from qlog.measures import BOTTOM, Dist, dirac, kantorovich, key_of, total_variation
-from qlog.measures import _order_token, _sort_token
+from qlog.measures import _order_token, key_token
 
 
 def prog_of(src):
@@ -178,6 +178,15 @@ while g == 0 { sample g unif(1) }
 def test_nth_unused_against_its_contract():
     assert check_nth_unused(3, 4)
     assert check_nth_unused(2, 5)
+
+
+def test_nth_unused_rejects_a_negative_index_in_the_store():
+    # the CLI rejects a negative store value on reading; a store built
+    # in code still reaches the scan
+    prog = prog_of("locs i t v\narray a[2]\nnth_unused(a, i, t, v)\n")
+    store = prog.initial_store().set("t", -1)
+    with pytest.raises(ImpError, match=r"^nth_unused index t = -1 is negative$"):
+        eval_cmd(prog, prog.body, store)
 
 
 def test_prp_reports():
@@ -544,16 +553,16 @@ def _ref_array(store, name):
 
 def _ref_order(stores):
     """Merged stores in support order: the first-seen store of each
-    ``key_of`` key, sorted by ``_sort_token(key_of(s))``."""
+    ``key_of`` key, sorted by ``key_token(key_of(s))``."""
     first = {}
     for s in stores:
         first.setdefault(key_of(s), s)
-    return sorted(first.values(), key=lambda s: _sort_token(key_of(s)))
+    return sorted(first.values(), key=lambda s: key_token(key_of(s)))
 
 
 def _assert_store_order(stores, rng):
     for s in stores:
-        want = _sort_token(key_of(s))
+        want = key_token(key_of(s))
         assert s.sort_token() == want
         assert _order_token(s) == want
         for name in ("a", "arr", "b", "i", "zz"):

@@ -178,7 +178,7 @@ def test_json_round_trip():
 
 # -- support order and merging ------------------------------------------------
 #
-# Reference: the support order as first defined, `_sort_token(key_of(v))`
+# Reference: the support order as first defined, `key_token(key_of(v))`
 # over the recursive `key_of`, copied here so the canonicalisation can be
 # optimised without moving a single point.
 

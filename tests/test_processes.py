@@ -432,8 +432,8 @@ def test_label_mismatch_solves_no_lp(monkeypatch):
         calls.append(len(a) * len(b))
         return real(a, b, c)
 
-    real = processes._simplex
-    monkeypatch.setattr(processes, "_simplex", counting)
+    real = processes.simplex
+    monkeypatch.setattr(processes, "simplex", counting)
     a, b = VProc("A"), VProc("B")
     a.step, b.step = dirac(a), dirac(b)
     assert behavioral_distance(None, a, b, Grade(F(1, 2)), 0.0) == Approx(1.0, 0.0)
@@ -462,7 +462,7 @@ def test_behavioral_distance_rejects_nonsense_parameters(
     def no_lp(a, b, c):
         raise AssertionError("an LP ran before the parameters were checked")
 
-    monkeypatch.setattr(processes, "_simplex", no_lp)
+    monkeypatch.setattr(processes, "simplex", no_lp)
     _, ev, vals = load("coin_half.qlog")
     with pytest.raises(ProcessError) as e:
         behavioral_distance(

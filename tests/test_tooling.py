@@ -204,19 +204,10 @@ def test_td_calls_no_sort():
     assert found == []
 
 
-# (importing module, imported module, name): today's uses, to be
-# retired; add none
-PRIVATE_IMPORTS_ALLOWED = {
-    ("imp", "measures", "_sort_token"),
-    ("processes", "transport", "_scale_masses"),
-    ("processes", "transport", "_simplex"),
-}
-
-
 def test_no_new_private_imports_across_modules():
     """No module of the package imports another module's private
     (``_``-prefixed) name, by ``from .m import _x`` or as ``m._x`` on an
-    imported module, beyond the listed ones."""
+    imported module."""
     import ast
 
     src = os.path.join(os.path.dirname(__file__), "..", "src", "qlog")
@@ -248,7 +239,7 @@ def test_no_new_private_imports_across_modules():
             if (isinstance(node, ast.Attribute) and private(node.attr)
                     and getattr(node.value, "id", None) in aliases):
                 found.add((mod, aliases[node.value.id], node.attr))
-    assert sorted(found - PRIVATE_IMPORTS_ALLOWED) == []
+    assert sorted(found) == []
 
 
 def test_no_cross_call_caches():

@@ -1,6 +1,7 @@
 """The transportation simplex: exact optimum, pivot-for-pivot equality
 with the Fraction simplex it replaced, and unchanged errors."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -8,13 +9,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
+from qlog.measures import Dist
 from qlog.transport import (
     Flow,
     TransportError,
-    _scale_masses,
-    _simplex,
     _validate,
     brute_force_transport,
+    simplex,
     solve_transport,
 )
 
@@ -308,16 +309,57 @@ def test_kernel_on_scaled_masses_reproduces_solve_transport():
         c = [[Fraction(x) for x in row]
              for row in _costs(rng, m, n, ["ties", "negative", "random"][t % 3])]
         opt, flow = solve_transport(a, b, c)
-        rows, cols, sa, sb, ds = _scale_masses(a, b)
-        assert rows == [i for i, w in enumerate(a) if w] and ds * sum(a) == sum(sa)
-        assert cols == [j for j, w in enumerate(b) if w] and sa == [a[i] * ds for i in rows]
+        rows = [i for i, w in enumerate(a) if w]
+        cols = [j for j, w in enumerate(b) if w]
+        ds = lcm(*(w.denominator for w in a + b))
+        sa, sb = [int(a[i] * ds) for i in rows], [int(b[j] * ds) for j in cols]
+        assert ds * sum(a) == sum(sa) == sum(sb) and min(sa + sb) > 0
+        assert sa == [a[i] * ds for i in rows] and sb == [b[j] * ds for j in cols]
         scale = lcm(*(x.denominator for row in c for x in row)) << rng.randrange(8)
         ic = [[int(c[i][j] * scale) for j in cols] for i in rows]
-        total, x = _simplex(sa, sb, ic)
+        total, x = simplex(sa, sb, ic)
         assert len(x) == len(rows) + len(cols) - 1
         assert Fraction(total, ds * scale) == opt
         got = [((rows[i], cols[j]), Fraction(q, ds)) for (i, j), q in x.items() if q > 0]
         assert got == list(flow.items())
+
+
+def test_kernel_on_dist_weights_over_their_lcm():
+    # behavioral_distance's read: the weights of two step distributions,
+    # all positive, as ints over their lcm, with int costs
+    rng = random.Random(301)
+    for _ in range(300):
+        mu, nu = (
+            Dist.from_pairs([(rng.randrange(5), w) for w in _masses(rng, k, False)])
+            for k in (rng.randint(1, 6), rng.randint(1, 6))
+        )
+        wa, wb = [w for _, w in mu.points], [w for _, w in nu.points]
+        ds = lcm(*(w.denominator for w in wa + wb))
+        c = [[rng.randint(-3, 9) << rng.randrange(3) for _ in wb] for _ in wa]
+        total, x = simplex(
+            [w.numerator * (ds // w.denominator) for w in wa],
+            [w.numerator * (ds // w.denominator) for w in wb],
+            c,
+        )
+        opt, flow = solve_transport(wa, wb, c)
+        assert Fraction(total, ds) == opt
+        got = [(cell, Fraction(q, ds)) for cell, q in x.items() if q > 0]
+        assert got == list(flow.items())
+
+
+def test_doubly_invalid_instances_fail_as_the_fraction_simplex():
+    # with a non-finite cost and bad masses, the cost error comes first,
+    # because the Fraction simplex converts the costs before it validates
+    masses = [[], [1], [Fraction(-1, 2), Fraction(3, 2)], [0.25, 0.5], [0, 0]]
+    costs = [[], [[0, 1]], [[0], [0]], [[float("nan")]], [[float("inf"), 0]]]
+    for a, b, c in itertools.product(masses, masses, costs):
+        outcomes = []
+        for solve in (solve_transport, _fraction_simplex):
+            try:
+                outcomes.append(solve(a, b, c))
+            except (ValueError, OverflowError) as e:
+                outcomes.append((type(e), str(e)))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_non_finite_costs_rejected_as_before():
