@@ -86,13 +86,14 @@ def _enum_spec(path: str) -> EnumSpec:
         raise InputError(f"{path}: an enumeration file is a JSON object")
     for key, e in entries.items():
         e = e if isinstance(e, dict) else {}
-        bound, terms = e.get("bound"), e.get("terms")
+        # only Nat needs a bound; other finite types enumerate themselves
+        bound, terms = e.get("bound", None if key == "Nat" else 0), e.get("terms", [])
         if not (e.get("mode") == "finite" and type(bound) is int and bound >= 0  # no bool
                 or e.get("mode") == "samples" and isinstance(terms, list)
                 and all(isinstance(t, str) for t in terms)):
             raise InputError(f'{path}: {json.dumps(key)}: expected {{"mode": "finite", '
-                             '"bound": <integer >= 0>} or {"mode": "samples", '
-                             '"terms": [<string>, ...]}')
+                             '"bound": <integer >= 0, needed for Nat>} or '
+                             '{"mode": "samples", "terms": [<string>, ...]}')
     return EnumSpec(entries)
 
 
@@ -145,7 +146,8 @@ def _eval_defs(args):
 def cmd_eval(args) -> int:
     _, _, values = _eval_defs(args)
     if args.def_name not in values:
-        return _usage_error(f"no definition named {args.def_name}")
+        print(f"no definition named {args.def_name}", file=sys.stderr)
+        return 2
     out = values[args.def_name]
     payload = {
         "def": args.def_name,
@@ -159,16 +161,19 @@ def cmd_eval(args) -> int:
 
 def cmd_distance(args) -> int:
     if args.bisim and not args.proc:
-        return _usage_error("--bisim needs --proc")
+        print("--bisim needs --proc", file=sys.stderr)
+        return 2
     qfile, ev, values = _eval_defs(args)
     for nm in (args.left, args.right):
         if nm not in values:
-            return _usage_error(f"no definition named {nm}")
+            print(f"no definition named {nm}", file=sys.stderr)
+            return 2
     lv, rv = values[args.left], values[args.right]
     ty = qfile.defs[args.left].declared_type
     if args.proc:
         if not isinstance(ty, TProc):
-            return _usage_error("--proc needs process-typed definitions")
+            print("--proc needs process-typed definitions", file=sys.stderr)
+            return 2
         distance = bisimilarity_distance if args.bisim else behavioral_distance
         d = distance(ev, lv.value, rv.value, ty.c, args.tol)
     else:
@@ -276,7 +281,8 @@ def cmd_casestudy(args) -> int:
             )
         rep = prp_prf_check(args.l, args.n)
         return _report(args, rep.to_json(), "ok" if rep.ok else "error")
-    return _usage_error(f"unknown case study {name}")
+    print(f"unknown case study {name}", file=sys.stderr)
+    return 2
 
 
 # -- hoare triples on .imp programs ------------------------------------------
@@ -460,7 +466,8 @@ def main(argv=None) -> int:
     # OSError: a missing or unreadable file, or a directory given as one
     except (InputError, QlogSyntaxError, TypeCheckError, EvalError, ProcessError,
             ImpError, OSError) as e:
-        return _usage_error(str(e))
+        print(str(e), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -445,7 +445,7 @@ def test_hoare_stores_take_naturals_in_locations_and_arrays(tmp_path):
 
 
 ENUMS_RULE = (
-    'expected {"mode": "finite", "bound": <integer >= 0>} or '
+    'expected {"mode": "finite", "bound": <integer >= 0, needed for Nat>} or '
     '{"mode": "samples", "terms": [<string>, ...]}'
 )
 
@@ -460,6 +460,8 @@ ENUMS_RULE = (
         ('{"Nat": {"mode": "finite", "bound": true}}', '"Nat": ' + ENUMS_RULE),
         ('{"Nat": {"mode": "finite"}}', '"Nat": ' + ENUMS_RULE),
         ('{"Nat": {"mode": "all", "bound": 3}}', '"Nat": ' + ENUMS_RULE),
+        ('{"Unit": {"mode": "finite", "bound": -1}}', '"Unit": ' + ENUMS_RULE),
+        ('{"Prop": {"mode": "samples", "terms": null}}', '"Prop": ' + ENUMS_RULE),
         ('{"Prop": {"mode": "samples", "terms": "tt"}}', '"Prop": ' + ENUMS_RULE),
         ('{"Prop": {"mode": "samples", "terms": [1]}}', '"Prop": ' + ENUMS_RULE),
         ("{", "not JSON: Expecting property name enclosed in double quotes"),
@@ -478,6 +480,17 @@ def test_malformed_enums_file_is_a_usage_error(tmp_path, capsys, command, text, 
     err = capsys.readouterr().err
     assert err.startswith(f"{enums}: ") and message in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_enums_file_bound_only_for_nat_and_terms_optional(tmp_path):
+    # a finite entry without a bound enumerates a structurally finite type,
+    # and a samples entry without terms samples nothing: both still load
+    enums = tmp_path / "enums.json"
+    enums.write_text('{"Nat": {"mode": "finite", "bound": 2}, "Unit": {"mode": "finite"},'
+                     ' "Dist Nat": {"mode": "samples"}}')
+    code, out = run_cli("judge", corpus("derivs", "26_forall_intro.json"), "--envs", "2",
+                        "--enums", str(enums), "--format", "json")
+    assert code == 0 and json.loads(out)["status"] == "ok"
 
 
 def test_imp_parse_error_reads_file_line_col(tmp_path, capsys):
