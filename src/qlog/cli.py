@@ -33,7 +33,7 @@ from .hoare import prp_prf_check, triple_value
 from .hypercube import hypercube_contraction_check
 from .imp import ImpError, Store, parse_imp, parse_store_pred
 from .logic import check_derivation, check_semantic, load_derivation_file, load_judgment_file
-from .parser import InputError, QlogSyntaxError, located, parse_file
+from .parser import InputError, QlogSyntaxError, located, parse_file, parse_term
 from .processes import ProcessError, behavioral_distance, bisimilarity_distance
 from .sampling import sample_envs
 from .td import random_mdp, random_vector, td_contraction_check
@@ -94,6 +94,12 @@ def _enum_spec(path: str) -> EnumSpec:
             raise InputError(f'{path}: {json.dumps(key)}: expected {{"mode": "finite", '
                              '"bound": <integer >= 0, needed for Nat>} or '
                              '{"mode": "samples", "terms": [<string>, ...]}')
+        for t in terms if e.get("mode") == "samples" else ():
+            try:
+                parse_term(t)
+            except QlogSyntaxError as err:
+                where = f"{path}: {json.dumps(key)}: samples term {json.dumps(t)}"
+                raise InputError(located(where, err)) from None
     return EnumSpec(entries)
 
 

@@ -56,7 +56,7 @@ from . import terms as T
 from .normalize import normal_form
 from .parser import parse_term
 from .processes import behavioral_distance
-from .typecheck import Checker
+from .typecheck import Checker, TypeCheckError
 from .values import (
     UNIT,
     Approx,
@@ -209,8 +209,13 @@ class Evaluator:
                 vals = []
                 for src in entry.get("terms", []):
                     term = parse_term(src)
-                    self.checker.elaborate(term, ty)
-                    self.checker.synthesize({}, term)
+                    try:
+                        self.checker.elaborate(term, ty)
+                        got, _ = self.checker.synthesize({}, term)
+                    except TypeCheckError as e:
+                        raise EvalError(f"samples for {ty}: term {src!r}: {e}") from None
+                    if got != ty:
+                        raise EvalError(f"samples for {ty}: term {src!r} has type {got}")
                     vals.append(self.eval({}, term).value)
                 self._sample_cache[key] = vals
             return self._sample_cache[key], False

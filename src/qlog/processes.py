@@ -11,18 +11,27 @@ key and cyclic (coinductive) processes are finite graphs here.
 
 from D = 0 towards the distance in the final coalgebra, solving one
 exact transport LP per distinct equal-label pair per round (a label
-mismatch is 1 without one).  Each pair's step weights, all positive,
-are read once as ints over their lcm; each round puts every D on one
-power-of-two scale, so ``transport.simplex`` pivots on int costs.  The
-costs of live pairs carry a 2^-50 tie-break that stays in the optimum,
-so the value is not a lower bound: it lies within the radius of the
-distance on either side.  The radius multiplies, per round, the worst
-contraction factor ``c * q`` where q is the optimal coupling's mass on
-distinct, unsaturated pairs: pairs with D = 1 can no longer move,
-identical nodes never do.  For discount c < 1 this is at most c
-(Banach); at c = 1 convergence certification relies on the recursion
-mass actually contracting, and the iteration reports failure when its
-round budget runs out.
+mismatch is 1 without one).  First the nodes reachable from the two
+roots are split into probabilistic bisimilarity classes by partition
+refinement (Larsen and Skou 1991; Derisavi, Hermanns and Sanders 2003).
+A pair inside one class is at distance exactly 0, as a pair of
+identical nodes is: it keeps D = 0, solves no LP, and its successor
+pairs are not enumerated.  A node with no step, a residual or a
+non-process successor, and every node that reaches one, is a class of
+its own, so no pair left out would have raised when enumerated.  Each
+pair's step weights, all positive, are read once as ints over their
+lcm; each round puts every D on one power-of-two scale, so
+``transport.simplex`` pivots on int costs.  The costs of live pairs
+carry a 2^-50 tie-break that stays in the optimum, so the value is not
+a lower bound: it lies within the radius of the distance on either
+side.  The radius multiplies, per round, the worst contraction factor
+``c * q`` where q is the optimal coupling's mass on live pairs: pairs
+with D = 1 can no longer move, and a bisimilar pair (identical nodes
+included) has D = 0 equal to its true distance, so its error is 0 in
+every round and mass on it adds nothing to the error.  For discount
+c < 1 this is at most c (Banach); at c = 1 convergence certification
+relies on the recursion mass actually contracting, and the iteration
+reports failure when its round budget runs out.
 
 ``bisimilarity_distance`` finds the same fixed point exactly for c < 1,
 by policy iteration over couplings (Tang and van Breugel, CONCUR 2016)
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .grades import Grade
 from .transport import simplex, solve_transport
@@ -90,7 +99,58 @@ def unfold_process(evaluator, proc: Any, depth: int) -> Tuple[dict, float]:
     return walk(proc, depth)
 
 
-def _reachable_pairs(p: VProc, q: VProc) -> List[Tuple[VProc, VProc]]:
+def _bisimulation_blocks(a: VProc, b: VProc) -> Dict[int, int]:
+    """Block number per id of each node reachable from a or b, in the
+    coarsest probabilistic bisimulation (Larsen and Skou): blocks start
+    by label and split by each node's exact step mass per block until
+    the partition is stable.  A node that ``_step_nodes`` would reject,
+    and every node that reaches one, is a block of its own, so no pair
+    whose expansion could raise is ever put at distance 0."""
+    nodes: List[VProc] = []
+    index: Dict[int, int] = {}
+    succ: List[Any] = []  # per node its (successor, w) list, or None if rejected
+    stack = [a, b]
+    while stack:
+        x = stack.pop()
+        if id(x) in index:
+            continue
+        index[id(x)] = len(nodes)
+        nodes.append(x)
+        try:
+            succ.append(_step_nodes(x))
+        except ProcessError:
+            succ.append(None)
+        stack.extend(u for u, _ in succ[-1] or ())
+    succ = [out and [(index[id(u)], w) for u, w in out] for out in succ]
+    own = {i for i, out in enumerate(succ) if out is None}
+    while True:  # close ``own`` under predecessors
+        more = {i for i, out in enumerate(succ)
+                if i not in own and any(j in own for j, _ in out)}
+        if not more:
+            break
+        own |= more
+    keys = [("own", i) if i in own else x.label for i, x in enumerate(nodes)]
+    count = 0
+    while True:
+        ids: Dict[Any, int] = {}
+        block = [ids.setdefault(key, len(ids)) for key in keys]
+        if len(ids) == count:
+            return {id(x): k for x, k in zip(nodes, block)}
+        count = len(ids)
+        keys = []
+        for i, out in enumerate(succ):
+            mass: Dict[int, Fraction] = {}
+            for j, w in out if i not in own else ():
+                k = block[j]
+                mass[k] = mass[k] + w if k in mass else w
+            keys.append((block[i], frozenset(mass.items())))
+
+
+def _reachable_pairs(
+    p: VProc, q: VProc, block: Optional[Dict[int, int]] = None
+) -> List[Tuple[VProc, VProc]]:
+    """Pairs reachable from (p, q) through pairs not known to be at
+    distance 0: not identical, and not in one block of ``block``."""
     seen = set()
     order: List[Tuple[VProc, VProc]] = []
     stack = [(p, q)]
@@ -101,10 +161,11 @@ def _reachable_pairs(p: VProc, q: VProc) -> List[Tuple[VProc, VProc]]:
             continue
         seen.add(key)
         order.append((a, b))
-        if id(a) == id(b):
+        if a is b or block is not None and block[id(a)] == block[id(b)]:
             continue
-        for x, _ in _step_nodes(a):
-            for y, _ in _step_nodes(b):
+        sa, sb = _step_nodes(a), _step_nodes(b)
+        for x, _ in sa:
+            for y, _ in sb:
                 if (id(x), id(y)) not in seen:
                     stack.append((x, y))
     return order
@@ -124,18 +185,22 @@ def behavioral_distance(
         raise ProcessError(f"tol must be a non-negative number, got {tol}")
     if not isinstance(max_rounds, int) or max_rounds < 1:
         raise ProcessError(f"max_rounds must be a positive integer, got {max_rounds}")
+    if a is b:
+        return Approx(0.0, 0.0)
     cf = float(c)
-    pairs = _reachable_pairs(a, b)  # the root pair (a, b) first
-    if all(x is y for x, y in pairs):
+    block = _bisimulation_blocks(a, b)
+    pairs = _reachable_pairs(a, b, block)  # the root pair (a, b) first
+    # distinct: not bisimilar, so not known to be at distance 0
+    distinct = [block[id(x)] != block[id(y)] for x, y in pairs]
+    if not distinct[0]:
         return Approx(0.0, 0.0)
     index = {(id(x), id(y)): k for k, (x, y) in enumerate(pairs)}
-    distinct = [x is not y for x, y in pairs]
     # The process graph is fixed: per distinct pair its int masses over
     # their lcm ds and successor pair indices, built once.  A label mismatch
     # is at distance 1 whatever its transport costs, so it gets no LP (None).
     steps = []
     for k, (x, y) in enumerate(pairs):
-        if x is y:
+        if not distinct[k]:
             continue
         if x.label != y.label:
             steps.append((k, None))
@@ -157,7 +222,7 @@ def behavioral_distance(
                 "behavioral distance did not converge: recursion mass does "
                 "not contract at this discount"
             )
-        # live successor pairs: distinct and not yet saturated.  A tiny
+        # live successor pairs: not bisimilar and not yet saturated.  A tiny
         # perturbation _PERT of their cost steers ties towards couplings
         # avoiding them, giving the sharpest certified factor.  Every cost
         # is an int on the one scale 2^E of this round (D is dyadic).
@@ -169,7 +234,7 @@ def behavioral_distance(
             (num << (e + 1 - den.bit_length())) + (pert if on else 0)
             for (num, den), on in zip(ratios, live)
         ]
-        fresh = [0.0] * len(pairs)  # diagonal: 0
+        fresh = [0.0] * len(pairs)  # bisimilar pairs: 0
         factor = 0.0
         any_active = False
         for k, lp in steps:

@@ -465,6 +465,8 @@ ENUMS_RULE = (
         ('{"Prop": {"mode": "samples", "terms": "tt"}}', '"Prop": ' + ENUMS_RULE),
         ('{"Prop": {"mode": "samples", "terms": [1]}}', '"Prop": ' + ENUMS_RULE),
         ("{", "not JSON: Expecting property name enclosed in double quotes"),
+        ('{"Nat": {"mode": "samples", "terms": ["tt", "delta("]}}',
+         '"Nat": samples term "delta(":1:6: expected a term'),
     ],
 )
 @pytest.mark.parametrize("command", ["judge", "eval"])
@@ -491,6 +493,21 @@ def test_enums_file_bound_only_for_nat_and_terms_optional(tmp_path):
     code, out = run_cli("judge", corpus("derivs", "26_forall_intro.json"), "--envs", "2",
                         "--enums", str(enums), "--format", "json")
     assert code == 0 and json.loads(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ("tt", "samples for Nat: term 'tt' has type Prop\n"),
+        ("x", "samples for Nat: term 'x': 1:1: [var] unbound variable x\n"),
+    ],
+)
+def test_enums_samples_term_of_another_type_is_refused(tmp_path, capsys, term, message):
+    enums = tmp_path / "enums.json"
+    enums.write_text(json.dumps({"Nat": {"mode": "samples", "terms": [term]}}))
+    code, out = run_cli("judge", corpus("derivs", "26_forall_intro.json"), "--envs", "2",
+                        "--enums", str(enums))
+    assert (code, out, capsys.readouterr().err) == (2, "", message)
 
 
 def test_imp_parse_error_reads_file_line_col(tmp_path, capsys):

@@ -15,6 +15,7 @@ from qlog.parser import parse_file
 from qlog.processes import (
     ProcessError,
     _bisimilarity_exact,
+    _bisimulation_blocks,
     _reachable_pairs,
     behavioral_distance,
     bisimilarity_distance,
@@ -26,7 +27,11 @@ from qlog.values import Approx, VProc, deref
 
 def load(fname, fuel=400, tol=1e-4):
     with open(corpus(fname)) as fh:
-        qfile = parse_file(fh.read())
+        return load_text(fh.read(), fuel, tol)
+
+
+def load_text(source, fuel=400, tol=1e-4):
+    qfile = parse_file(source)
     ck = Checker(qfile.alphabets)
     ev = Evaluator(ck, EvalConfig(fuel=fuel, tol=tol))
     env = {nm: Approx(ev.canonical_seed(ty)) for nm, _, ty in qfile.ctx.bindings}
@@ -337,20 +342,34 @@ def test_exact_distance_is_a_fixed_point_property():
 def _fraction_costs_behavioral(p, q, c, tol, max_rounds=100000):
     """behavioral_distance as it was before costs went on one int scale
     per round: Fraction costs through solve_transport, one LP per
-    distinct pair per round, label mismatches included."""
+    distinct pair per round, label mismatches included.  A pair is at
+    distance 0, and not expanded, when its nodes are identical or their
+    exact distance at discount 1/2 is 0 (the kernel of the distance does
+    not depend on the discount, so this decides bisimilarity at c = 1
+    too); the pairs come from this function's own search."""
     from qlog.processes import _PERT, _node, _step_nodes
     from qlog.transport import solve_transport
 
     a, b = _node(p), _node(q)
     cf = float(c)
-    pairs = _reachable_pairs(a, b)
+    zero = {}
+    pairs = []
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if (id(x), id(y)) in zero:
+            continue
+        zero[(id(x), id(y))] = x is y or _bisimilarity_exact(x, y, Grade(F(1, 2))) == 0
+        pairs.append((x, y))
+        if not zero[(id(x), id(y))]:
+            stack.extend((u, v) for u, _ in _step_nodes(x) for v, _ in _step_nodes(y))
     D = {(id(x), id(y)): 0.0 for x, y in pairs}
     radius = 1.0
-    if all(id(x) == id(y) for x, y in pairs):
+    if all(zero.values()):
         return Approx(0.0, 0.0)
     steps = []
     for x, y in pairs:
-        if id(x) != id(y):
+        if not zero[(id(x), id(y))]:
             sx, sy = _step_nodes(x), _step_nodes(y)
             steps.append((
                 (id(x), id(y)),
@@ -371,7 +390,7 @@ def _fraction_costs_behavioral(p, q, c, tol, max_rounds=100000):
             if D[key] >= 1.0:
                 fresh[key] = 1.0
                 continue
-            live = [[k[0] != k[1] and D[k] < 1.0 for k in row] for row in succ]
+            live = [[not zero[k] and D[k] < 1.0 for k in row] for row in succ]
             costs = [
                 [F(D[k]) + _PERT if on else D[k] for k, on in zip(row, live_row)]
                 for row, live_row in zip(succ, live)
@@ -486,3 +505,167 @@ def test_exhausted_round_budget_keeps_its_message():
     _, ev, vals = load("markov.qlog")
     with pytest.raises(ProcessError, match="did not converge"):
         behavioral_distance(ev, vals["m"].value, vals["n"].value, Grade(1), 0.0, 3)
+
+
+def _set_partitions(items):
+    """Every partition of ``items`` into non-empty blocks, as lists."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[head]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[head] + part[i]] + part[i + 1:]
+
+
+def _reachable_nodes(roots):
+    seen, stack = {}, list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            stack.extend(deref(v) for v, _ in x.step.points)
+    return list(seen.values())
+
+
+def _is_bisimulation(part):
+    """One label per block, and per block equal step masses into every
+    block."""
+    block_of = {id(x): i for i, blk in enumerate(part) for x in blk}
+
+    def masses(x):
+        out = {}
+        for v, w in x.step.points:
+            k = block_of[id(deref(v))]
+            out[k] = out.get(k, 0) + w
+        return out
+
+    return all(
+        x.label == blk[0].label and masses(x) == masses(blk[0])
+        for blk in part
+        for x in blk
+    )
+
+
+def test_bisimulation_blocks_are_the_coarsest_bisimulation():
+    # Brute force: of all set partitions of the reachable nodes (Bell(6)
+    # = 203 for six), the bisimulations, and of those the coarsest.
+    rng = random.Random(30)
+    checked = 0
+    while checked < 150:
+        nodes = random_chain(rng, rng.randrange(2, 7), rng.randrange(1, 4))
+        a, b = nodes[0], rng.choice(nodes)
+        reach = _reachable_nodes([a, b])
+        if len(reach) > 6:
+            continue
+        checked += 1
+        block = _bisimulation_blocks(a, b)
+        assert sorted(block) == sorted(id(x) for x in reach)
+        coarsest = min(
+            (p for p in _set_partitions(reach) if _is_bisimulation(p)), key=len
+        )
+        want = {frozenset(id(x) for x in blk) for blk in coarsest}
+        got = {}
+        for key, k in block.items():
+            got.setdefault(k, set()).add(key)
+        assert {frozenset(ids) for ids in got.values()} == want
+
+
+def test_a_copy_of_the_same_fixed_point_solves_no_lp(monkeypatch):
+    # every def evaluates its own fixed point, so s0 and t0 share no node
+    import qlog.processes as processes
+
+    _, _, vals = load_text(
+        "alphabet L = { A, B }\n"
+        "def chain : Proc[1/2] L & Proc[1/2] L = fix x : Proc[1/2] L & Proc[1/2] L.\n"
+        "  < proc(A, delta(fst x) (+ 1/3) delta(snd x)),\n"
+        "    proc(B, delta(fst x) (+ 3/4) delta(snd x)) >\n"
+        "def s0 : Proc[1/2] L = fst chain\n"
+        "def t0 : Proc[1/2] L = fst chain\n"
+    )
+    s0, t0 = deref(vals["s0"].value), deref(vals["t0"].value)
+    assert not {id(x) for x in _reachable_nodes([s0])} & {
+        id(x) for x in _reachable_nodes([t0])
+    }
+
+    def no_lp(a, b, c):
+        raise AssertionError("an LP ran on a bisimilar pair")
+
+    monkeypatch.setattr(processes, "simplex", no_lp)
+    for c in (F(1, 2), F(1)):
+        assert behavioral_distance(None, s0, t0, Grade(c), 1e-4) == Approx(0.0, 0.0)
+
+
+class _OwnBlocks(dict):
+    """Every node a block of its own: the rule before partition refinement."""
+
+    def __missing__(self, key):
+        return key
+
+
+def test_bisimilar_pairs_cut_the_lp_count(monkeypatch):
+    # A pair of the benchmark's shape: two states of one 4-state chain
+    # with 3 successors each and c = 1/2, each from its own def.
+    import qlog.processes as processes
+
+    x0, x1, x2, x3 = "fst x", "fst (snd x)", "fst (snd (snd x))", "snd (snd (snd x))"
+    states = [
+        f"proc(A, delta({x0}) (+ 1/4) (delta({x1}) (+ 2/3) delta({x3})))",
+        f"proc(B, delta({x2}) (+ 1/2) (delta({x0}) (+ 1/5) delta({x3})))",
+        f"proc(A, delta({x3}) (+ 3/7) (delta({x1}) (+ 1/2) delta({x0})))",
+        f"proc(B, delta({x0}) (+ 5/6) (delta({x1}) (+ 1/3) delta({x2})))",
+    ]
+    ty = "Proc[1/2] L & (Proc[1/2] L & (Proc[1/2] L & Proc[1/2] L))"
+    _, _, vals = load_text(
+        f"alphabet L = {{ A, B }}\n"
+        f"def chain : {ty} = fix x : {ty}.\n"
+        f"  < {states[0]}, < {states[1]}, < {states[2]}, {states[3]} > > >\n"
+        "def s0 : Proc[1/2] L = fst chain\n"
+        "def s2 : Proc[1/2] L = fst (snd (snd chain))\n"
+    )
+    calls = []
+
+    def counting(a, b, c):
+        calls.append(None)
+        return real(a, b, c)
+
+    real = processes.simplex
+    monkeypatch.setattr(processes, "simplex", counting)
+    p, q, c = vals["s0"].value, vals["s2"].value, Grade(F(1, 2))
+    got = behavioral_distance(None, p, q, c, 1e-4)
+    lps = len(calls)
+    monkeypatch.setattr(processes, "_bisimulation_blocks", lambda a, b: _OwnBlocks())
+    before = behavioral_distance(None, p, q, c, 1e-4)
+    assert 0 < lps < len(calls) - lps
+    exact = _bisimilarity_exact(p, q, c)
+    assert abs(exact - F(got.value)) <= F(got.radius)
+    assert abs(got.value - before.value) <= got.radius + before.radius
+
+
+def _leaky_root(hd):
+    return VProc("Hd", Dist.from_pairs([(hd, F(1, 2))], residual_div=F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "make_bad, message",
+    [
+        (_leaky_root, "residual mass"),
+        (lambda hd: VProc("Hd"), "no step distribution"),
+        (lambda hd: VProc("Hd", dirac(0)), "not a process value"),
+    ],
+)
+def test_a_rejected_node_raises_where_it_did_before(make_bad, message):
+    _, _, vals = load("coin_half.qlog")
+    hd = deref(vals["hd"].value)
+    bad = make_bad(hd)
+    c = Grade(F(1, 2))
+    # reached only through the identical pair (bad, bad): never expanded
+    x, y = VProc("Hd", dirac(bad)), VProc("Hd", dirac(bad))
+    assert behavioral_distance(None, x, y, c, 1e-4).value == 0.0
+    # x and y step alike into the same nodes, but the pair (bad, hd) of
+    # their successors is distinct, and enumerating it raises
+    step = Dist.from_pairs([(bad, F(1, 2)), (hd, F(1, 2))])
+    x, y = VProc("Hd", step), VProc("Hd", step)
+    with pytest.raises(ProcessError, match=message):
+        behavioral_distance(None, x, y, c, 1e-4)
