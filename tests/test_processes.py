@@ -647,25 +647,29 @@ def _leaky_root(hd):
     return VProc("Hd", Dist.from_pairs([(hd, F(1, 2))], residual_div=F(1, 2)))
 
 
+@pytest.mark.parametrize("route", [behavioral_distance, bisimilarity_distance])
 @pytest.mark.parametrize(
     "make_bad, message",
     [
         (_leaky_root, "residual mass"),
         (lambda hd: VProc("Hd"), "no step distribution"),
         (lambda hd: VProc("Hd", dirac(0)), "not a process value"),
+        # a non-process successor is reported before residual mass
+        (lambda hd: VProc("Hd", Dist.from_pairs([(0, F(1, 2))], residual_div=F(1, 2))),
+         "not a process value"),
     ],
 )
-def test_a_rejected_node_raises_where_it_did_before(make_bad, message):
+def test_a_rejected_node_raises_where_it_did_before(route, make_bad, message):
     _, _, vals = load("coin_half.qlog")
     hd = deref(vals["hd"].value)
     bad = make_bad(hd)
     c = Grade(F(1, 2))
     # reached only through the identical pair (bad, bad): never expanded
     x, y = VProc("Hd", dirac(bad)), VProc("Hd", dirac(bad))
-    assert behavioral_distance(None, x, y, c, 1e-4).value == 0.0
+    assert route(None, x, y, c, 1e-4).value == 0.0
     # x and y step alike into the same nodes, but the pair (bad, hd) of
     # their successors is distinct, and enumerating it raises
     step = Dist.from_pairs([(bad, F(1, 2)), (hd, F(1, 2))])
     x, y = VProc("Hd", step), VProc("Hd", step)
     with pytest.raises(ProcessError, match=message):
-        behavioral_distance(None, x, y, c, 1e-4)
+        route(None, x, y, c, 1e-4)
