@@ -35,7 +35,7 @@ from .logic import (
     check_semantic,
     coupling_value,
 )
-from .processes import behavioral_distance, bisimilarity_distance, unfold_process
+from .processes import behavioral_distance, bisimilarity_distance
 from .td import MDP, td_contraction_check, td_step
 from .hypercube import hwalk, hypercube_contraction_check, hypercube_sigma
 from .imp import Program, Store, eval_cmd, eval_expr, parse_imp
@@ -96,6 +96,5 @@ __all__ = [
     "td_step",
     "total_variation",
     "triple_value",
-    "unfold_process",
     "wand",
 ]

@@ -76,6 +76,11 @@ def _load_qlog(path: str):
         return parse_file(text)
 
 
+# The largest finite bound an enumeration file may set: quantifying over
+# Nat up to it builds a list of that many values (docs/grammar.md).
+ENUM_BOUND_MAX = 10**6
+
+
 def _enum_spec(path: str) -> EnumSpec:
     """The enumeration file at ``path``, checked by key (docs/grammar.md)."""
     try:
@@ -88,11 +93,12 @@ def _enum_spec(path: str) -> EnumSpec:
         e = e if isinstance(e, dict) else {}
         # only Nat needs a bound; other finite types enumerate themselves
         bound, terms = e.get("bound", None if key == "Nat" else 0), e.get("terms", [])
-        if not (e.get("mode") == "finite" and type(bound) is int and bound >= 0  # no bool
+        if not (e.get("mode") == "finite" and type(bound) is int  # no bool
+                and 0 <= bound <= ENUM_BOUND_MAX
                 or e.get("mode") == "samples" and isinstance(terms, list)
                 and all(isinstance(t, str) for t in terms)):
             raise InputError(f'{path}: {json.dumps(key)}: expected {{"mode": "finite", '
-                             '"bound": <integer >= 0, needed for Nat>} or '
+                             f'"bound": <integer 0 to {ENUM_BOUND_MAX}, needed for Nat>}} or '
                              '{"mode": "samples", "terms": [<string>, ...]}')
         for t in terms if e.get("mode") == "samples" else ():
             try:

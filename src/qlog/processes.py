@@ -18,9 +18,9 @@ A pair inside one class is at distance exactly 0, as a pair of
 identical nodes is: it keeps D = 0, solves no LP, and its successor
 pairs are not enumerated.  A node with no step, a residual or a
 non-process successor, and every node that reaches one, is a class of
-its own, so no pair left out would have raised when enumerated.  Each
-pair's step weights, all positive, are read once as ints over their
-lcm; each round puts every D on one power-of-two scale, so
+its own, so no pair left out would have raised when enumerated.  Step
+weights, all positive, are ints over the chain's one denominator
+(below); each round puts every D on one power-of-two scale, so
 ``transport.simplex`` pivots on int costs.  The costs of live pairs
 carry a 2^-50 tie-break that stays in the optimum, so the value is not
 a lower bound: it lies within the radius of the distance on either
@@ -36,17 +36,21 @@ reports failure when its round budget runs out.
 ``bisimilarity_distance`` finds the same fixed point exactly for c < 1,
 by policy iteration over couplings (Tang and van Breugel, CONCUR 2016)
 as in :func:`_bisimilarity_exact`: an independent second route.
+
+Both routes run on one finite chain per query, read by :func:`_chain`,
+the only reader of a node's step: the nodes reachable from the two
+roots, indexed, with int weights over one denominator for the chain.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .grades import Grade
 from .transport import simplex, solve_transport
-from .values import Approx, VProc, VRef, deref
+from .values import Approx, VProc, deref
 
 
 class ProcessError(ValueError):
@@ -60,113 +64,100 @@ def _node(v: Any) -> VProc:
     return v
 
 
-def _step_nodes(node: VProc) -> List[Tuple[VProc, Fraction]]:
-    if node.step is None:
-        raise ProcessError("process node has no step distribution")
-    out = [(_node(v), w) for v, w in node.step.points]
-    if node.step.residual != 0:
-        raise ProcessError("process step carries residual mass")
-    return out
-
-
-def unfold_process(evaluator, proc: Any, depth: int) -> Tuple[dict, float]:
-    """Finite unfolding tree plus residual recursion mass.
-
-    The residual is the probability of still sitting, at the given
-    depth, on a reference back into the root's own fixed point; mass
-    that has escaped into other processes counts as absorbed.
-    """
-    root_thunk = proc.thunk if isinstance(proc, VRef) else None
-
-    def walk(value: Any, d: int) -> Tuple[dict, float]:
-        node = _node(value)
-        tree: dict = {"label": node.label}
-        if d == 0:
-            return tree, 1.0
-        steps = []
-        residual = 0.0
-        for child, w in node.step.points:
-            recursive = isinstance(child, VRef) and child.thunk is root_thunk
-            sub, sub_res = walk(child, d - 1)
-            steps.append({"weight": float(w), "node": sub})
-            if d == 1:
-                residual += float(w) * (1.0 if recursive else 0.0)
-            else:
-                residual += float(w) * sub_res
-        tree["steps"] = steps
-        return tree, residual
-
-    return walk(proc, depth)
-
-
-def _bisimulation_blocks(a: VProc, b: VProc) -> Dict[int, int]:
-    """Block number per id of each node reachable from a or b, in the
-    coarsest probabilistic bisimulation (Larsen and Skou): blocks start
-    by label and split by each node's exact step mass per block until
-    the partition is stable.  A node that ``_step_nodes`` would reject,
-    and every node that reaches one, is a block of its own, so no pair
-    whose expansion could raise is ever put at distance 0."""
-    nodes: List[VProc] = []
-    index: Dict[int, int] = {}
-    succ: List[Any] = []  # per node its (successor, w) list, or None if rejected
-    stack = [a, b]
-    while stack:
-        x = stack.pop()
-        if id(x) in index:
-            continue
-        index[id(x)] = len(nodes)
-        nodes.append(x)
+def _chain(a: VProc, b: VProc) -> Tuple[List[str], List[Any], int]:
+    """The finite chain of the nodes reachable from a and b (not the
+    same node), each step read once: a is node 0, b node 1, then the
+    rest in breadth-first order.  Returns each node's label, its
+    successors as (index, int weight) over the one denominator ``den``
+    of all the chain's weights, and ``den``.  A node whose step is
+    missing, reaches a non-process value or carries a residual has, in
+    place of its successors, the text of that ``ProcessError`` (checked
+    in this order), raised by :func:`_expanded` only when a route
+    expands the node; its successors are not read."""
+    nodes = [a, b]
+    index = {id(a): 0, id(b): 1}
+    read: List[Any] = []
+    for x in nodes:  # nodes grows while it is read
+        step = x.step
         try:
-            succ.append(_step_nodes(x))
-        except ProcessError:
-            succ.append(None)
-        stack.extend(u for u, _ in succ[-1] or ())
-    succ = [out and [(index[id(u)], w) for u, w in out] for out in succ]
-    own = {i for i, out in enumerate(succ) if out is None}
+            if step is None:
+                raise ProcessError("process node has no step distribution")
+            out = [(_node(v), w) for v, w in step.points]
+            if step.residual != 0:
+                raise ProcessError("process step carries residual mass")
+        except ProcessError as e:
+            read.append(str(e))
+            continue
+        for u, _ in out:
+            if id(u) not in index:
+                index[id(u)] = len(nodes)
+                nodes.append(u)
+        read.append(out)
+    den = math.lcm(*[w.denominator for out in read if type(out) is not str for _, w in out])
+    succ = [out if type(out) is str else
+            [(index[id(u)], w.numerator * (den // w.denominator)) for u, w in out]
+            for out in read]
+    return [x.label for x in nodes], succ, den
+
+
+def _expanded(succ: List[Any], i: int) -> List[Tuple[int, int]]:
+    """Node i's successors, or the ``ProcessError`` its step was rejected with."""
+    if type(succ[i]) is str:
+        raise ProcessError(succ[i])
+    return succ[i]
+
+
+def _bisimulation_blocks(labels: List[str], succ: List[Any]) -> List[int]:
+    """Block number per node of a chain, in the coarsest probabilistic
+    bisimulation (Larsen and Skou): blocks start by label and split by
+    each node's exact step mass per block until the partition is
+    stable.  A rejected node, and every node that reaches one, is a
+    block of its own, so no pair whose expansion could raise is ever
+    put at distance 0."""
+    own = {i for i, out in enumerate(succ) if type(out) is str}
     while True:  # close ``own`` under predecessors
         more = {i for i, out in enumerate(succ)
                 if i not in own and any(j in own for j, _ in out)}
         if not more:
             break
         own |= more
-    keys = [("own", i) if i in own else x.label for i, x in enumerate(nodes)]
+    keys = [("own", i) if i in own else label for i, label in enumerate(labels)]
     count = 0
     while True:
         ids: Dict[Any, int] = {}
         block = [ids.setdefault(key, len(ids)) for key in keys]
         if len(ids) == count:
-            return {id(x): k for x, k in zip(nodes, block)}
+            return block
         count = len(ids)
         keys = []
         for i, out in enumerate(succ):
-            mass: Dict[int, Fraction] = {}
+            mass: Dict[int, int] = {}
             for j, w in out if i not in own else ():
                 k = block[j]
                 mass[k] = mass[k] + w if k in mass else w
             keys.append((block[i], frozenset(mass.items())))
 
 
-def _reachable_pairs(
-    p: VProc, q: VProc, block: Optional[Dict[int, int]] = None
-) -> List[Tuple[VProc, VProc]]:
-    """Pairs reachable from (p, q) through pairs not known to be at
-    distance 0: not identical, and not in one block of ``block``."""
+def _reachable_pairs(succ: List[Any], block: List[int]) -> List[Tuple[int, int]]:
+    """Node pairs of a chain reachable from the root pair (0, 1) through
+    pairs not known to be at distance 0, that is not in one block
+    (identical nodes are); the root pair first."""
     seen = set()
-    order: List[Tuple[VProc, VProc]] = []
-    stack = [(p, q)]
+    order: List[Tuple[int, int]] = []
+    stack = [(0, 1)]
     while stack:
-        a, b = stack.pop()
-        key = (id(a), id(b))
-        if key in seen:
+        pair = stack.pop()
+        if pair in seen:
             continue
-        seen.add(key)
-        order.append((a, b))
-        if a is b or block is not None and block[id(a)] == block[id(b)]:
+        seen.add(pair)
+        order.append(pair)
+        i, j = pair
+        if block[i] == block[j]:
             continue
-        sa, sb = _step_nodes(a), _step_nodes(b)
-        for x, _ in sa:
-            for y, _ in sb:
-                if (id(x), id(y)) not in seen:
+        si, sj = _expanded(succ, i), _expanded(succ, j)
+        for x, _ in si:
+            for y, _ in sj:
+                if (x, y) not in seen:
                     stack.append((x, y))
     return order
 
@@ -188,29 +179,28 @@ def behavioral_distance(
     if a is b:
         return Approx(0.0, 0.0)
     cf = float(c)
-    block = _bisimulation_blocks(a, b)
-    pairs = _reachable_pairs(a, b, block)  # the root pair (a, b) first
+    labels, succ, den = _chain(a, b)
+    block = _bisimulation_blocks(labels, succ)
+    pairs = _reachable_pairs(succ, block)
     # distinct: not bisimilar, so not known to be at distance 0
-    distinct = [block[id(x)] != block[id(y)] for x, y in pairs]
+    distinct = [block[i] != block[j] for i, j in pairs]
     if not distinct[0]:
         return Approx(0.0, 0.0)
-    index = {(id(x), id(y)): k for k, (x, y) in enumerate(pairs)}
-    # The process graph is fixed: per distinct pair its int masses over
-    # their lcm ds and successor pair indices, built once.  A label mismatch
-    # is at distance 1 whatever its transport costs, so it gets no LP (None).
+    index = {pair: k for k, pair in enumerate(pairs)}
+    # The chain is fixed: per distinct pair its int masses and successor
+    # pair indices, built once (_reachable_pairs expanded it, so neither
+    # node is rejected).  A label mismatch is at distance 1 whatever its
+    # transport costs, so it gets no LP (None).
     steps = []
-    for k, (x, y) in enumerate(pairs):
+    for k, (i, j) in enumerate(pairs):
         if not distinct[k]:
             continue
-        if x.label != y.label:
+        if labels[i] != labels[j]:
             steps.append((k, None))
             continue
-        sx, sy = _step_nodes(x), _step_nodes(y)
-        ds = math.lcm(*[w.denominator for _, w in sx + sy])
-        sa = [w.numerator * (ds // w.denominator) for _, w in sx]
-        sb = [w.numerator * (ds // w.denominator) for _, w in sy]
-        succ = [[index[(id(u), id(v))] for v, _ in sy] for u, _ in sx]
-        steps.append((k, (sa, sb, ds, succ)))
+        si, sj = succ[i], succ[j]
+        sa, sb = [w for _, w in si], [w for _, w in sj]
+        steps.append((k, (sa, sb, [[index[(u, v)] for v, _ in sj] for u, _ in si])))
     D = [0.0] * len(pairs)
     radius = 1.0
     rounds = 0
@@ -228,11 +218,11 @@ def behavioral_distance(
         # is an int on the one scale 2^E of this round (D is dyadic).
         live = [on and d < 1.0 for on, d in zip(distinct, D)]
         ratios = [d.as_integer_ratio() for d in D]
-        e = max(50, max(den.bit_length() for _, den in ratios) - 1)
+        e = max(50, max(two.bit_length() for _, two in ratios) - 1)
         pert = 1 << (e - 50)
         cost = [
-            (num << (e + 1 - den.bit_length())) + (pert if on else 0)
-            for (num, den), on in zip(ratios, live)
+            (num << (e + 1 - two.bit_length())) + (pert if on else 0)
+            for (num, two), on in zip(ratios, live)
         ]
         fresh = [0.0] * len(pairs)  # bisimilar pairs: 0
         factor = 0.0
@@ -241,18 +231,18 @@ def behavioral_distance(
             if lp is None or D[k] >= 1.0:
                 fresh[k] = 1.0
                 continue
-            sa, sb, ds, succ = lp
-            total, flow = simplex(sa, sb, [[cost[t] for t in row] for row in succ])
-            # int true division rounds correctly: float(Fraction(total, ds << e))
-            value = min(cf * (total / (ds << e)), 1.0)
+            sa, sb, nxt = lp
+            total, flow = simplex(sa, sb, [[cost[t] for t in row] for row in nxt])
+            # int true division rounds correctly: float(Fraction(total, den << e))
+            value = min(cf * (total / (den << e)), 1.0)
             fresh[k] = value
             if value >= 1.0:
                 continue
             any_active = True
             q_mass = 0.0
             for (r, s), m in flow.items():
-                if live[succ[r][s]]:  # a zero cell adds 0.0
-                    q_mass += m / ds
+                if live[nxt[r][s]]:  # a zero cell adds 0.0
+                    q_mass += m / den
             factor = max(factor, cf * min(q_mass, 1.0))
         converged_exactly = fresh == D
         D = fresh
@@ -309,22 +299,23 @@ def _bisimilarity_exact(p: Any, q: Any, c: Grade) -> Fraction:
     a, b = _node(p), _node(q)
     if a is b or a.label != b.label:
         return Fraction(0 if a is b else 1)
-    slot = {(id(a), id(b)): 0}
-    todo = [(a, b)]
+    labels, succ, den = _chain(a, b)
+    slot = {(0, 1): 0}
+    todo = [(0, 1)]
 
-    def slot_of(u: VProc, v: VProc) -> int:
-        if u is v or u.label != v.label:
-            return -2 if u is v else -1
-        if (id(u), id(v)) not in slot:
-            slot[(id(u), id(v))] = len(todo)
+    def slot_of(u: int, v: int) -> int:
+        if u == v or labels[u] != labels[v]:
+            return -2 if u == v else -1
+        if (u, v) not in slot:
+            slot[(u, v)] = len(todo)
             todo.append((u, v))
-        return slot[(id(u), id(v))]
+        return slot[(u, v)]
 
     steps = []  # per unknown: supplies, demands, slot of each successor pair
-    for x, y in todo:  # todo grows while it is read
-        sx, sy = _step_nodes(x), _step_nodes(y)
-        slots = [[slot_of(u, v) for v, _ in sy] for u, _ in sx]
-        steps.append(([w for _, w in sx], [w for _, w in sy], slots))
+    for i, j in todo:  # todo grows while it is read
+        si, sj = _expanded(succ, i), _expanded(succ, j)
+        slots = [[slot_of(u, v) for v, _ in sj] for u, _ in si]
+        steps.append(([w for _, w in si], [w for _, w in sj], slots))
     n, cr = len(steps), c.rational
     D = [Fraction(0)] * n + [Fraction(0), Fraction(1)]
     policy: List[Any] = [None] * n
@@ -333,12 +324,13 @@ def _bisimilarity_exact(p: Any, q: Any, c: Grade) -> Fraction:
         for i, (sup, dem, slots) in enumerate(steps):
             costs = [[D[k] for k in row] for row in slots]
             opt, flow = solve_transport(sup, dem, costs)
-            if policy[i] is None or cr * opt < D[i]:
+            # opt and flow are den times their probability values
+            if policy[i] is None or cr * opt < den * D[i]:
                 policy[i] = flow
                 improved = True
         if not improved:
             return D[0]
-        D[:n] = _policy_values(steps, policy, cr)
+        D[:n] = _policy_values(steps, policy, cr / den)
 
 
 def bisimilarity_distance(evaluator, p: Any, q: Any, c: Grade, tol: float) -> Approx:

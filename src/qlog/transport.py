@@ -18,7 +18,8 @@ Two layers, each hiding one input format, and one oracle:
   rule after a run of degenerate pivots, so it terminates and the
   optimum is exact.  Its final basis doubles as the coupling witness.
   ``processes.behavioral_distance`` calls it directly: its masses are
-  ints over one lcm per pair, and its costs one int scale per round.
+  ints over the one denominator of the query's process chain, and its
+  costs one int scale per round.
 
 * :func:`brute_force_transport` -- enumerates every basic feasible
   solution (spanning trees of the complete bipartite graph) and takes

@@ -445,7 +445,7 @@ def test_hoare_stores_take_naturals_in_locations_and_arrays(tmp_path):
 
 
 ENUMS_RULE = (
-    'expected {"mode": "finite", "bound": <integer >= 0, needed for Nat>} or '
+    'expected {"mode": "finite", "bound": <integer 0 to 1000000, needed for Nat>} or '
     '{"mode": "samples", "terms": [<string>, ...]}'
 )
 
@@ -458,6 +458,9 @@ ENUMS_RULE = (
         ('{"Nat": {"mode": "finite", "bound": "x"}}', '"Nat": ' + ENUMS_RULE),
         ('{"Nat": {"mode": "finite", "bound": -1}}', '"Nat": ' + ENUMS_RULE),
         ('{"Nat": {"mode": "finite", "bound": true}}', '"Nat": ' + ENUMS_RULE),
+        # past the ceiling: 10^20 overflowed range() with a traceback
+        ('{"Nat": {"mode": "finite", "bound": 100000000000000000000}}', '"Nat": ' + ENUMS_RULE),
+        ('{"Nat": {"mode": "finite", "bound": 1000001}}', '"Nat": ' + ENUMS_RULE),
         ('{"Nat": {"mode": "finite"}}', '"Nat": ' + ENUMS_RULE),
         ('{"Nat": {"mode": "all", "bound": 3}}', '"Nat": ' + ENUMS_RULE),
         ('{"Unit": {"mode": "finite", "bound": -1}}', '"Unit": ' + ENUMS_RULE),

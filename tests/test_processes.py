@@ -1,5 +1,6 @@
-"""Process distances, unfolding, and markov-style case studies."""
+"""Process distances, the chain they read, and markov-style case studies."""
 
+import collections
 import itertools
 import math
 import random
@@ -16,10 +17,9 @@ from qlog.processes import (
     ProcessError,
     _bisimilarity_exact,
     _bisimulation_blocks,
-    _reachable_pairs,
+    _chain,
     behavioral_distance,
     bisimilarity_distance,
-    unfold_process,
 )
 from qlog.typecheck import Checker
 from qlog.values import Approx, VProc, deref
@@ -42,24 +42,37 @@ def load_text(source, fuel=400, tol=1e-4):
     return qfile, ev, vals
 
 
-def test_unfold_depth_zero_is_label():
-    _, ev, vals = load("markov.qlog")
-    tree, res = unfold_process(ev, vals["m"].value, 0)
-    assert tree == {"label": "Hd"} and res == 1.0
+# The references below read the lazy graph themselves, through these
+# helpers, and share no code with the chain the routes run on.
 
 
-def test_unfold_residual_geometric():
-    _, ev, vals = load("markov.qlog")
-    for depth in (1, 2, 3, 5):
-        _, res = unfold_process(ev, vals["m"].value, depth)
-        assert res == pytest.approx((1 / 3) ** depth)
+def _lazy_read(x):
+    """x's step read off the lazy graph as [(node, weight)], or the text
+    of the ProcessError that a route raises when it expands x."""
+    if x.step is None:
+        return "process node has no step distribution"
+    out = []
+    for v, w in x.step.points:
+        u = deref(v)
+        if not isinstance(u, VProc):
+            return f"not a process value: {u!r}"
+        out.append((u, w))
+    return "process step carries residual mass" if x.step.residual else out
 
 
-def test_unfold_residual_coin_is_one():
-    _, ev, vals = load("coin_half.qlog")
-    for depth in (1, 3):
-        _, res = unfold_process(ev, vals["hd"].value, depth)
-        assert res == 1.0  # every branch stays inside the recursion
+def _pair_walk(a, b):
+    """The node pairs reachable from (a, b) on the lazy graph, a pair of
+    identical nodes not expanded; (a, b) first."""
+    seen, order, stack = set(), [], [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        order.append((x, y))
+        if x is not y:
+            stack.extend((u, v) for u, _ in _lazy_read(x) for v, _ in _lazy_read(y))
+    return order
 
 
 def test_identical_processes_distance_zero():
@@ -138,9 +151,7 @@ def test_monotone_convergence_of_iterates():
     b = deref(vals["hde"].value)
     cf = 0.5
     # replicate the iteration over the reachable pairs by hand
-    from qlog.processes import _reachable_pairs, _step_nodes
-
-    pairs = _reachable_pairs(a, b)
+    pairs = _pair_walk(a, b)
     D = {(id(x), id(y)): 0.0 for x, y in pairs}
     prev_delta = None
     for _ in range(12):
@@ -149,7 +160,7 @@ def test_monotone_convergence_of_iterates():
             if id(x) == id(y):
                 fresh[(id(x), id(y))] = 0.0
                 continue
-            sx, sy = _step_nodes(x), _step_nodes(y)
+            sx, sy = _lazy_read(x), _lazy_read(y)
             costs = [
                 [F(D[(id(u), id(v))]) for v, _ in sy] for u, _ in sx
             ]
@@ -322,7 +333,7 @@ def test_exact_distance_is_a_fixed_point_property():
     )
     def check(k, b, c, rng):
         nodes = random_chain(rng, k, b)
-        pairs = _reachable_pairs(rng.choice(nodes), rng.choice(nodes))
+        pairs = _pair_walk(rng.choice(nodes), rng.choice(nodes))
         D = {(id(x), id(y)): _bisimilarity_exact(x, y, Grade(c)) for x, y in pairs}
 
         def cost(u, v):
@@ -347,10 +358,10 @@ def _fraction_costs_behavioral(p, q, c, tol, max_rounds=100000):
     exact distance at discount 1/2 is 0 (the kernel of the distance does
     not depend on the discount, so this decides bisimilarity at c = 1
     too); the pairs come from this function's own search."""
-    from qlog.processes import _PERT, _node, _step_nodes
+    from qlog.processes import _PERT
     from qlog.transport import solve_transport
 
-    a, b = _node(p), _node(q)
+    a, b = deref(p), deref(q)
     cf = float(c)
     zero = {}
     pairs = []
@@ -362,7 +373,7 @@ def _fraction_costs_behavioral(p, q, c, tol, max_rounds=100000):
         zero[(id(x), id(y))] = x is y or _bisimilarity_exact(x, y, Grade(F(1, 2))) == 0
         pairs.append((x, y))
         if not zero[(id(x), id(y))]:
-            stack.extend((u, v) for u, _ in _step_nodes(x) for v, _ in _step_nodes(y))
+            stack.extend((u, v) for u, _ in _lazy_read(x) for v, _ in _lazy_read(y))
     D = {(id(x), id(y)): 0.0 for x, y in pairs}
     radius = 1.0
     if all(zero.values()):
@@ -370,7 +381,7 @@ def _fraction_costs_behavioral(p, q, c, tol, max_rounds=100000):
     steps = []
     for x, y in pairs:
         if not zero[(id(x), id(y))]:
-            sx, sy = _step_nodes(x), _step_nodes(y)
+            sx, sy = _lazy_read(x), _lazy_read(y)
             steps.append((
                 (id(x), id(y)),
                 0.0 if x.label == y.label else 1.0,
@@ -548,6 +559,34 @@ def _is_bisimulation(part):
     )
 
 
+def _chain_nodes(a, b, chain):
+    """The node at each index of ``chain``, found by walking the lazy
+    graph from a and b beside the chain's successor lists.  On the way it
+    checks that each index stands for one node, with that node's label,
+    its weights as Fraction(w, den) and its rejection, and that the chain
+    holds no node the walk does not reach."""
+    labels, succ, den = chain
+    node_of, todo = {0: a, 1: b}, [0, 1]
+    while todo:
+        i = todo.pop()
+        x = node_of[i]
+        want = _lazy_read(x)
+        assert labels[i] == x.label
+        if isinstance(want, str):
+            assert succ[i] == want
+            continue
+        assert [F(w, den) for _, w in succ[i]] == [w for _, w in want]
+        for (j, _), (u, _) in zip(succ[i], want):
+            if j not in node_of:
+                node_of[j] = u
+                todo.append(j)
+            assert node_of[j] is u
+    assert len(succ) == len(labels) == len(node_of)
+    nodes = [node_of[i] for i in range(len(labels))]
+    assert len({id(x) for x in nodes}) == len(nodes)
+    return nodes
+
+
 def test_bisimulation_blocks_are_the_coarsest_bisimulation():
     # Brute force: of all set partitions of the reachable nodes (Bell(6)
     # = 203 for six), the bisimulations, and of those the coarsest.
@@ -557,19 +596,68 @@ def test_bisimulation_blocks_are_the_coarsest_bisimulation():
         nodes = random_chain(rng, rng.randrange(2, 7), rng.randrange(1, 4))
         a, b = nodes[0], rng.choice(nodes)
         reach = _reachable_nodes([a, b])
-        if len(reach) > 6:
+        if len(reach) > 6 or a is b:  # a chain has two distinct roots
             continue
         checked += 1
-        block = _bisimulation_blocks(a, b)
-        assert sorted(block) == sorted(id(x) for x in reach)
+        chain = _chain(a, b)
+        nodes = _chain_nodes(a, b, chain)
+        assert sorted(id(x) for x in nodes) == sorted(id(x) for x in reach)
+        block = _bisimulation_blocks(*chain[:2])
         coarsest = min(
             (p for p in _set_partitions(reach) if _is_bisimulation(p)), key=len
         )
         want = {frozenset(id(x) for x in blk) for blk in coarsest}
         got = {}
-        for key, k in block.items():
-            got.setdefault(k, set()).add(key)
+        for x, k in zip(nodes, block):
+            got.setdefault(k, set()).add(id(x))
         assert {frozenset(ids) for ids in got.values()} == want
+
+
+def _rejecting_pairs():
+    """Root pairs whose chain holds a rejected node of each kind."""
+    _, _, vals = load("coin_half.qlog")
+    hd = deref(vals["hd"].value)
+    for bad in (
+        _leaky_root(hd),
+        VProc("Hd"),
+        VProc("Hd", dirac(0)),
+        VProc("Hd", Dist.from_pairs([(hd, F(1, 4)), (0, F(1, 4))], residual_div=F(1, 2))),
+    ):
+        yield VProc("Hd", Dist.from_pairs([(bad, F(1, 3)), (hd, F(2, 3))])), hd
+        yield bad, VProc("Tl", dirac(bad))
+
+
+def test_chain_is_the_lazy_graph():
+    pairs = [(deref(p), deref(q)) for p, q, _ in itertools.chain(
+        _corpus_pairs(), _chain_pairs())]
+    pairs += list(_rejecting_pairs())
+    for a, b in pairs:
+        if a is not b:
+            _chain_nodes(a, b, _chain(a, b))
+
+
+@pytest.mark.parametrize("route", [behavioral_distance, bisimilarity_distance])
+def test_each_step_is_read_once_per_call(monkeypatch, route):
+    # every successor is forced through deref: the roots once each, then
+    # each point of each reachable node's step once, or none when the
+    # route answers from the roots alone
+    import qlog.processes as processes
+
+    calls = []
+
+    def counting(v):
+        calls.append(id(v))
+        return deref(v)
+
+    monkeypatch.setattr(processes, "deref", counting)
+    for p, q, c in itertools.chain(_corpus_pairs(), _chain_pairs()):
+        a, b = deref(p), deref(q)
+        calls.clear()
+        route(None, p, q, Grade(c), 1e-4)
+        want = [id(p), id(q)]
+        if a is not b and (route is behavioral_distance or a.label == b.label):
+            want += [id(v) for x in _reachable_nodes([a, b]) for v, _ in x.step.points]
+        assert collections.Counter(calls) == collections.Counter(want)
 
 
 def test_a_copy_of_the_same_fixed_point_solves_no_lp(monkeypatch):
@@ -595,13 +683,6 @@ def test_a_copy_of_the_same_fixed_point_solves_no_lp(monkeypatch):
     monkeypatch.setattr(processes, "simplex", no_lp)
     for c in (F(1, 2), F(1)):
         assert behavioral_distance(None, s0, t0, Grade(c), 1e-4) == Approx(0.0, 0.0)
-
-
-class _OwnBlocks(dict):
-    """Every node a block of its own: the rule before partition refinement."""
-
-    def __missing__(self, key):
-        return key
 
 
 def test_bisimilar_pairs_cut_the_lp_count(monkeypatch):
@@ -635,7 +716,9 @@ def test_bisimilar_pairs_cut_the_lp_count(monkeypatch):
     p, q, c = vals["s0"].value, vals["s2"].value, Grade(F(1, 2))
     got = behavioral_distance(None, p, q, c, 1e-4)
     lps = len(calls)
-    monkeypatch.setattr(processes, "_bisimulation_blocks", lambda a, b: _OwnBlocks())
+    # every node a block of its own: the rule before partition refinement
+    monkeypatch.setattr(processes, "_bisimulation_blocks",
+                        lambda labels, succ: list(range(len(labels))))
     before = behavioral_distance(None, p, q, c, 1e-4)
     assert 0 < lps < len(calls) - lps
     exact = _bisimilarity_exact(p, q, c)

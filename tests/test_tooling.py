@@ -180,6 +180,26 @@ def test_only_from_pairs_builds_a_dist():
     assert calls == []
 
 
+def test_only_chain_reads_a_process_step():
+    """In ``processes`` no code outside ``_chain`` reads a node's
+    ``.step``, so every process algorithm runs on the one chain read per
+    query, and none goes back to the lazy graph."""
+    import ast
+
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "qlog", "processes.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_chain":
+            inside.update(id(n) for n in ast.walk(fn))
+    assert inside
+    reads = [f"processes.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "step"
+             and id(node) not in inside]
+    assert reads == []
+
+
 def test_td_calls_no_sort():
     """``td`` never sorts: no ``sorted(...)``, no ``.sort(...)`` and no
     ``_sort_support``.  Its rows, their masses and distances, the
